@@ -14,18 +14,34 @@ samples, interleaved x1,y1,z1,x2,..., form the sequence k from which the
 permutation, XOR mask and S-box selector streams are digested.
 
 All real arithmetic is 64-bit binary floating point; identical parameters
-give bit-identical keystreams on one platform.
+give bit-identical keystreams on one platform.  The step loop runs in a
+small C kernel (``_rk4.c``) compiled on first use, and in pure Python when
+no compiler is available; both do the same IEEE operations in the same
+order, so they return the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import numbers
+import os
+import platform
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 DISTURBANCE_INTERVAL = 10000
 DEFAULT_BURN_IN = 100
+MAX_BURN_IN = 1_000_000
+
+_KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
+# no FMA contraction and no fast-math: either would change the rounding
+# of the RK4 sums and break bit identity with the Python loop
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 
 class IntegrationError(ArithmeticError):
@@ -52,8 +68,10 @@ class LorenzParams:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if isinstance(self.burn_in, bool) or not isinstance(self.burn_in, numbers.Integral):
+            raise ValueError(f"burn_in must be an integer, got {self.burn_in!r}")
+        if not 0 <= self.burn_in <= MAX_BURN_IN:
+            raise ValueError(f"burn_in must be in [0, {MAX_BURN_IN}], got {self.burn_in}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +127,87 @@ def rk4_step(
     )
 
 
+def _compile_kernel(source: bytes, out: str) -> None:
+    import subprocess  # only a cache miss compiles; keep it out of import time
+
+    subprocess.run(
+        ["cc", *_KERNEL_FLAGS, "-o", out, "-x", "c", "-"],
+        input=source,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        check=True,
+        timeout=120,
+    )
+
+
+def _private_dir(path: Path) -> bool:
+    """Create `path` with mode 0700 if needed; True if only we can write it."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return False
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled step loop as a ctypes function, or None.
+
+    The shared object is cached per user under
+    ``${XDG_CACHE_HOME:-~/.cache}/lftcipher``, named by a sha256 of the
+    source, the flags and the machine, and published with an atomic
+    rename so concurrent processes never load a partial file.  When that
+    directory cannot be used it is built in a private temporary directory
+    that is removed once loaded.
+    """
+    import hashlib  # not needed until the first integrate call
+
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        digest = hashlib.sha256(
+            b"\0".join((source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()))
+        ).hexdigest()
+        base = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+            base = os.path.expanduser("~/.cache")
+        cache = Path(base) / "lftcipher"
+        if _private_dir(cache):
+            so_path = cache / f"rk4-{digest}.so"
+            if not so_path.exists():
+                fd, tmp = tempfile.mkstemp(dir=cache, prefix="rk4-", suffix=".tmp")
+                os.close(fd)
+                try:
+                    _compile_kernel(source, tmp)
+                    os.replace(tmp, so_path)
+                finally:
+                    if os.path.exists(tmp):
+                        os.unlink(tmp)
+            lib = ctypes.CDLL(str(so_path))
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                so_path = os.path.join(tmp, "rk4.so")
+                _compile_kernel(source, so_path)
+                lib = ctypes.CDLL(so_path)
+        kernel = lib.lft_rk4
+    except Exception:
+        # the Python loop gives the same bits, so a kernel that cannot be
+        # built or loaded, for whatever reason, costs only speed: stay silent
+        return None
+    kernel.restype = ctypes.c_int64
+    kernel.argtypes = (
+        [ctypes.c_double] * 7 + [ctypes.c_int64] * 3 + [ctypes.POINTER(ctypes.c_double)] * 3
+    )
+    return kernel
+
+
+def _nonfinite(step: int, burn_in: int) -> IntegrationError:
+    """The error for 1-based step `step`, counted from the start of burn-in."""
+    if step <= burn_in:
+        return IntegrationError(f"non-finite state at burn-in step {step}")
+    return IntegrationError(f"non-finite state at step {step}")
+
+
 def integrate(params: LorenzParams, count: int) -> LorenzTrajectory:
     """Fixed-step RK4 trajectory of `count` samples after burn-in.
 
@@ -121,19 +220,27 @@ def integrate(params: LorenzParams, count: int) -> LorenzTrajectory:
         raise ValueError(f"count must be >= 1, got {count}")
     x, y, z = params.x0, params.y0, params.z0
     a, b, c, h = params.a, params.b, params.c, params.step
-    for i in range(params.burn_in):
-        x, y, z = rk4_step(x, y, z, a, b, c, h)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise IntegrationError(f"non-finite state at burn-in step {i + 1}")
     xs = np.empty(count)
     ys = np.empty(count)
     zs = np.empty(count)
+    kernel = _load_kernel()
+    if kernel is not None:
+        ptr = ctypes.POINTER(ctypes.c_double)
+        bad = kernel(
+            x, y, z, a, b, c, h, params.burn_in, count, DISTURBANCE_INTERVAL,
+            xs.ctypes.data_as(ptr), ys.ctypes.data_as(ptr), zs.ctypes.data_as(ptr),
+        )
+        if bad:
+            raise _nonfinite(bad, params.burn_in)
+        return LorenzTrajectory(xs, ys, zs)
+    for i in range(params.burn_in):
+        x, y, z = rk4_step(x, y, z, a, b, c, h)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise _nonfinite(i + 1, params.burn_in)
     for t in range(1, count + 1):
         x, y, z = rk4_step(x, y, z, a, b, c, h)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise IntegrationError(
-                f"non-finite state at step {params.burn_in + t}"
-            )
+            raise _nonfinite(params.burn_in + t, params.burn_in)
         if t % DISTURBANCE_INTERVAL == 1:
             if z <= 0:
                 x += 0.1
@@ -176,19 +283,22 @@ def derive_keystream(k, sbox_count: int = 16) -> Keystream:
     selectors[i] = floor(k_i * 10^4) mod sbox_count
 
     The position shuffle is realized as the rank permutation of k, the
-    standard reading for this family of designs.
+    standard reading for this family of designs.  Any sort gives the same
+    permutation when k has no equal entries, so the faster unstable sort
+    is used and the stable one only when k turns out to have ties.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 1:
         raise ValueError("k must be one-dimensional")
-    if k.size and (k.min() < 0.0 or k.max() >= 1.0):
+    if k.size and not (k.min() >= 0.0 and k.max() < 1.0):
         raise ValueError("k entries must lie in [0, 1)")
     scaled = k * 1e4
     mask = (np.floor(scaled + 0.5).astype(np.int64) % 256).astype(np.uint8)
     selectors = (np.floor(scaled).astype(np.int64) % sbox_count).astype(np.uint8)
-    perm = np.argsort(k, kind="stable")
-    if k.size and not np.array_equal(np.bincount(perm, minlength=k.size), np.ones(k.size, dtype=np.int64)):
-        raise AssertionError("derived perm is not a permutation")
+    perm = np.argsort(k)
+    ranked = np.take(k, perm, out=scaled)  # scaled is spent; reuse its memory
+    if np.any(ranked[1:] == ranked[:-1]):
+        perm = np.argsort(k, kind="stable")
     return Keystream(k=k.copy(), perm=perm, mask=mask, selectors=selectors)
 
 

@@ -1,7 +1,9 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from lftcipher import CipherKey, FieldSpec, ImageBuffer, LorenzParams, build_family
+from lftcipher import CipherKey, FieldSpec, ImageBuffer, LorenzParams, build_family, lorenz
 
 
 def make_natural_image(seed: int, width: int = 256, height: int = 256) -> ImageBuffer:
@@ -47,3 +49,21 @@ def test_key() -> CipherKey:
 @pytest.fixture(scope="session")
 def natural_image() -> ImageBuffer:
     return make_natural_image(seed=7)
+
+
+def require_kernel() -> None:
+    """Skip without a C compiler; fail if there is one but the RK4 kernel did not load."""
+    if lorenz._load_kernel() is None:
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler to build the RK4 kernel")
+        pytest.fail("cc is on PATH but the RK4 kernel did not build or load")
+
+
+@pytest.fixture(params=["kernel", "fallback"])
+def rk4_path(request, monkeypatch):
+    """Run a test once on the compiled RK4 kernel and once on the Python loop."""
+    if request.param == "kernel":
+        require_kernel()
+    else:
+        monkeypatch.setattr(lorenz, "_load_kernel", lambda: None)
+    return request.param

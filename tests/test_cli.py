@@ -144,6 +144,17 @@ class TestEncryptDecrypt:
         assert err.startswith("error:keyfile:")
         assert "wat" in err
 
+    def test_burn_in_out_of_range(self, tmp_path, small_image, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(KEY_TEXT + "burn_in=1000000000000\n")
+        rc = main(["encrypt", "--key", str(bad), "--in", small_image,
+                   "--out", str(tmp_path / "ct.pgm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:keyfile:")
+        assert err.count("\n") == 1
+        assert "burn_in" in err
+
     def test_bad_image(self, tmp_path, keyfile, capsys):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n4 4\n255\nxx")

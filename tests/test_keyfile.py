@@ -98,6 +98,11 @@ class TestErrors:
         with pytest.raises(KeyFileError, match="step"):
             parse_key_text(MINIMAL + "step=0\n")
 
+    @pytest.mark.parametrize("raw", ["1000001", "1000000000000", "0x400000000000000000", "-1"])
+    def test_burn_in_out_of_range(self, raw):
+        with pytest.raises(KeyFileError, match="burn_in"):
+            parse_key_text(MINIMAL + f"burn_in={raw}\n")
+
 
 class TestFileIo:
     def test_file_round_trip(self, tmp_path):

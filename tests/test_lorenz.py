@@ -1,10 +1,16 @@
+import importlib.resources
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from conftest import require_kernel
+from lftcipher import lorenz
 from lftcipher.lorenz import (
     DISTURBANCE_INTERVAL,
+    MAX_BURN_IN,
     IntegrationError,
     Keystream,
     LorenzParams,
@@ -36,6 +42,20 @@ class TestParams:
             LorenzParams(1, 1, 1, burn_in=-1)
         with pytest.raises(ValueError):
             LorenzParams(math.inf, 1, 1)
+
+    @pytest.mark.parametrize("burn_in", [1.5, True, "7", None])
+    def test_burn_in_must_be_an_integer(self, burn_in):
+        with pytest.raises(ValueError, match="integer"):
+            LorenzParams(1, 1, 1, burn_in=burn_in)
+
+    @pytest.mark.parametrize("burn_in", [MAX_BURN_IN + 1, 10**12, 2**70])
+    def test_burn_in_is_capped(self, burn_in):
+        with pytest.raises(ValueError, match="burn_in"):
+            LorenzParams(1, 1, 1, burn_in=burn_in)
+
+    def test_burn_in_bounds_accepted(self):
+        assert LorenzParams(1, 1, 1, burn_in=MAX_BURN_IN).burn_in == MAX_BURN_IN
+        assert LorenzParams(1, 1, 1, burn_in=np.int64(7)).burn_in == 7
 
     def test_defaults(self):
         p = LorenzParams(0.1, 0.2, 0.3)
@@ -150,6 +170,114 @@ class TestIntegrate:
             integrate(p, 10_000)
 
 
+class TestIntegrateFallback(TestIntegrate):
+    """The same cases on the pure-Python loop."""
+
+    @pytest.fixture(autouse=True)
+    def _python_loop(self, monkeypatch):
+        monkeypatch.setattr(lorenz, "_load_kernel", lambda: None)
+
+
+def _both_paths(monkeypatch, fn):
+    """fn() on the kernel, then on the Python loop."""
+    require_kernel()
+    on_kernel = fn()
+    with monkeypatch.context() as m:
+        m.setattr(lorenz, "_load_kernel", lambda: None)
+        return on_kernel, fn()
+
+
+def _bytes(traj):
+    return traj.xs.tobytes() + traj.ys.tobytes() + traj.zs.tobytes()
+
+
+@pytest.fixture
+def fresh_loader():
+    """An empty loader cache, emptied again afterwards so later tests reload."""
+    lorenz._load_kernel.cache_clear()
+    yield
+    lorenz._load_kernel.cache_clear()
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize("burn_in", [0, 7, 100])
+    def test_bytewise_equal(self, burn_in, monkeypatch):
+        rng = np.random.default_rng(2024 + burn_in)
+        for x0, y0, z0 in rng.uniform(-15, 15, (5, 3)):
+            p = LorenzParams(x0, y0, z0 + 20, burn_in=burn_in)
+            kernel, python = _both_paths(monkeypatch, lambda: integrate(p, 30003))
+            assert _bytes(kernel) == _bytes(python)
+
+    @pytest.mark.parametrize("burn_in, phase", [(100, "burn-in step"), (0, "at step")])
+    def test_error_text_identical(self, burn_in, phase, monkeypatch):
+        p = LorenzParams(1.0, 1.0, 1.0, step=50.0, burn_in=burn_in)
+
+        def message():
+            with pytest.raises(IntegrationError) as err:
+                integrate(p, 10_000)
+            return str(err.value)
+
+        kernel, python = _both_paths(monkeypatch, message)
+        assert kernel == python
+        assert phase in kernel
+
+
+class TestKernelLoading:
+    def _reference(self, monkeypatch):
+        p = LorenzParams(0.3, -0.4, 10.5)
+        with monkeypatch.context() as m:
+            m.setattr(lorenz, "_load_kernel", lambda: None)
+            return p, _bytes(integrate(p, 30003))
+
+    def test_no_compiler_falls_back_silently(self, fresh_loader, monkeypatch, tmp_path, capfd):
+        p, want = self._reference(monkeypatch)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        assert _bytes(integrate(p, 30003)) == want
+        assert lorenz._load_kernel() is None
+        assert capfd.readouterr() == ("", "")
+        assert not list((tmp_path / "cache" / "lftcipher").iterdir())
+
+    def test_cached_per_user_with_private_dir(self, fresh_loader, monkeypatch, tmp_path, capfd):
+        p, want = self._reference(monkeypatch)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        require_kernel()
+        assert _bytes(integrate(p, 30003)) == want
+        assert capfd.readouterr() == ("", "")
+        cache = tmp_path / "lftcipher"
+        assert os.stat(cache).st_mode & 0o777 == 0o700
+        (so,) = cache.iterdir()
+        assert so.name.startswith("rk4-") and so.suffix == ".so"
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_unusable_cache_builds_in_private_tempdir(
+        self, shared, fresh_loader, monkeypatch, tmp_path, capfd
+    ):
+        p, want = self._reference(monkeypatch)
+        if shared:
+            # an existing cache dir others can write to is never loaded from
+            cache_home = tmp_path / "shared"
+            (cache_home / "lftcipher").mkdir(parents=True)
+            os.chmod(cache_home / "lftcipher", 0o777)
+        else:
+            # a regular file where the cache dir should be: mkdir fails even as root
+            cache_home = tmp_path / "file"
+            cache_home.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+        private_tmp = tmp_path / "tmp"
+        private_tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private_tmp))
+        require_kernel()
+        assert _bytes(integrate(p, 30003)) == want
+        assert capfd.readouterr() == ("", "")
+        assert not list(private_tmp.iterdir())
+        if shared:
+            assert not list((cache_home / "lftcipher").iterdir())
+
+    def test_source_ships_with_package(self):
+        assert (importlib.resources.files("lftcipher") / "_rk4.c").is_file()
+
+
 class TestFractional:
     def test_scalar_cases(self):
         traj = LorenzTrajectory(
@@ -226,6 +354,23 @@ class TestDeriveKeystream:
             derive_keystream(np.array([1.0]))
         with pytest.raises(ValueError):
             derive_keystream(np.array([-0.1]))
+        with pytest.raises(ValueError):
+            derive_keystream(np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            np.array([]),
+            np.array([0.25]),
+            np.full(1000, 0.5),
+            np.random.default_rng(12).integers(0, 7, 5000) / 8,
+            np.concatenate([np.random.default_rng(13).uniform(0, 1, 4999), [0.0]])[::-1],
+            np.array([0.3, -0.0, 0.0, 0.3, -0.0]),
+        ],
+        ids=["empty", "single", "all-equal", "many-ties", "no-ties", "signed-zeros"],
+    )
+    def test_perm_is_stable_argsort(self, k):
+        assert np.array_equal(derive_keystream(k).perm, np.argsort(k, kind="stable"))
 
     def test_perm_is_bijection(self):
         rng = np.random.default_rng(10)
