@@ -175,9 +175,21 @@ def inverse_substitute(v, selectors, sboxes) -> np.ndarray:
     return _stacked(sboxes, inverse=True)[selectors, v]
 
 
-def encrypt(img: ImageBuffer, key: CipherKey) -> ImageBuffer:
-    """flatten -> permute -> xor_mask -> substitute -> reshape."""
-    ks = key.keystream(img.pixel_count)
+def _keystream_for(img: ImageBuffer, key: CipherKey, ks: Keystream | None) -> Keystream:
+    if ks is None:
+        return key.keystream(img.pixel_count)
+    if len(ks) != img.pixel_count:
+        raise ValueError(f"keystream length {len(ks)} != pixel count {img.pixel_count}")
+    return ks
+
+
+def encrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> ImageBuffer:
+    """flatten -> permute -> xor_mask -> substitute -> reshape.
+
+    ks, if given, must be key.keystream(img.pixel_count); it saves
+    deriving the stream again when the caller already has it.
+    """
+    ks = _keystream_for(img, key, ks)
     tables = _stacked(key.sboxes)
     flat = flatten(img)
     n = img.pixel_count
@@ -191,9 +203,12 @@ def encrypt(img: ImageBuffer, key: CipherKey) -> ImageBuffer:
     return unflatten(out, img.width, img.height, img.channels)
 
 
-def decrypt(img: ImageBuffer, key: CipherKey) -> ImageBuffer:
-    """Exact inverse of encrypt: unsubstitute -> unmask -> unpermute."""
-    ks = key.keystream(img.pixel_count)
+def decrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> ImageBuffer:
+    """Exact inverse of encrypt: unsubstitute -> unmask -> unpermute.
+
+    ks, if given, must be key.keystream(img.pixel_count), as for encrypt.
+    """
+    ks = _keystream_for(img, key, ks)
     inverses = _stacked(key.sboxes, inverse=True)
     flat = flatten(img)
     n = img.pixel_count

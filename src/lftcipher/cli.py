@@ -133,20 +133,22 @@ def cmd_analyze_sbox(args) -> int:
 def cmd_encrypt(args) -> int:
     key = parse_key_file(args.key).to_cipher_key()
     img = _read_input_image(args.infile, args.raw)
+    ks = key.keystream(img.pixel_count)
     if args.emit_keystream:
         with open(args.emit_keystream, "w", encoding="utf-8") as f:
-            _dump_keystream(key.keystream(img.pixel_count), f)
-    netpbm.write_image(encrypt(img, key), args.out)
+            _dump_keystream(ks, f)
+    netpbm.write_image(encrypt(img, key, ks), args.out)
     return 0
 
 
 def cmd_decrypt(args) -> int:
     key = parse_key_file(args.key).to_cipher_key()
     img = _read_input_image(args.infile, args.raw)
+    ks = key.keystream(img.pixel_count)
     if args.emit_keystream:
         with open(args.emit_keystream, "w", encoding="utf-8") as f:
-            _dump_keystream(key.keystream(img.pixel_count), f)
-    netpbm.write_image(decrypt(img, key), args.out)
+            _dump_keystream(ks, f)
+    netpbm.write_image(decrypt(img, key, ks), args.out)
     return 0
 
 
@@ -158,7 +160,7 @@ def cmd_metrics(args) -> int:
     for direction in ("horizontal", "vertical"):
         try:
             r = metrics.adjacency_correlation(img, direction, **sampled)
-        except ValueError:
+        except metrics.TooFewPairsError:
             r = None
         print(f"Corr. ({direction}): {'undefined' if r is None else f'{r:.6f}'}")
     print(f"Entropy: {metrics.entropy(img):.4f}")

@@ -129,7 +129,11 @@ def parse_key_text(text: str, source: str = "<memory>") -> KeyFile:
 def parse_key_file(path: str | os.PathLike) -> KeyFile:
     """Read and parse a key file."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_key_text(f.read(), source=str(path))
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise KeyFileError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_key_text(text, source=str(path))
 
 
 def format_key_file(kf: KeyFile) -> str:

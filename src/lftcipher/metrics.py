@@ -35,6 +35,10 @@ class NoiseReport:
     recovered: ImageBuffer
 
 
+class TooFewPairsError(ValueError):
+    """The image is too narrow or too short to have adjacent pairs."""
+
+
 class GlcmFeatures(NamedTuple):
     contrast: float
     homogeneity: float
@@ -61,18 +65,21 @@ def adjacency_correlation(
     Returns None (not 0) when either side of the pair population has zero
     variance, e.g. for a constant image.  With sample_pairs set, that many
     pairs are drawn with a seeded generator instead of the full population.
+    Raises TooFewPairsError when the image has no pair in that direction.
     """
     if direction not in ("horizontal", "vertical"):
         raise ValueError(f"direction must be horizontal or vertical, got {direction!r}")
+    if sample_pairs is not None and sample_pairs < 1:
+        raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
     firsts, seconds = [], []
     for plane in _planes(img):
         if direction == "horizontal":
             if plane.shape[1] < 2:
-                raise ValueError("image too narrow for horizontal pairs")
+                raise TooFewPairsError("image too narrow for horizontal pairs")
             a, b = plane[:, :-1], plane[:, 1:]
         else:
             if plane.shape[0] < 2:
-                raise ValueError("image too short for vertical pairs")
+                raise TooFewPairsError("image too short for vertical pairs")
             a, b = plane[:-1, :], plane[1:, :]
         firsts.append(a.ravel())
         seconds.append(b.ravel())

@@ -10,9 +10,14 @@ produced per primitive reduction polynomial, giving a family of 16.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+
+import numpy as np
 
 from . import golden
 from .gf2n import FieldSpec, field
+
+_BYTES = np.arange(256)
 
 
 class SBoxFormatError(ValueError):
@@ -84,12 +89,14 @@ class LftSBox:
     def __post_init__(self) -> None:
         if len(self.table) != 256 or len(self.inverse) != 256:
             raise SBoxFormatError("S-box tables must have exactly 256 entries")
-        audit = validate_table(self.table)
+        table = _byte_values(self.table)
+        audit = validate_table(table)
         if not audit.bijective:
             raise SBoxValidationError(audit)
-        for v in range(256):
-            if self.inverse[self.table[v]] != v:
-                raise ValueError(f"inverse table inconsistent at input {v}")
+        inverse = _byte_values(self.inverse)
+        wrong = np.flatnonzero(inverse[table] != _BYTES)
+        if wrong.size:
+            raise ValueError(f"inverse table inconsistent at input {wrong[0]}")
 
     def apply(self, v: int) -> int:
         return self.table[v]
@@ -104,30 +111,41 @@ class LftSBox:
         return self.table
 
 
-def validate_table(raw) -> TableAudit:
-    """Scan a 256-entry table for duplicated and missing byte values."""
-    vals = list(raw)
+def _byte_values(raw) -> np.ndarray:
+    """The 256 entries of a table as an integer array, checked to be bytes."""
+    if isinstance(raw, (bytes, bytearray)):
+        vals = np.frombuffer(raw, dtype=np.uint8)
+    else:
+        vals = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw))
     if len(vals) != 256:
         raise SBoxFormatError(f"expected 256 entries, got {len(vals)}")
-    counts = [0] * 256
-    for v in vals:
-        if not 0 <= v <= 255:
-            raise SBoxFormatError(f"entry {v} out of byte range")
-        counts[v] += 1
-    duplicates = {v: c for v, c in enumerate(counts) if c > 1}
-    missing = tuple(v for v, c in enumerate(counts) if c == 0)
+    if vals.dtype == np.uint8:
+        return vals
+    if vals.dtype.kind not in "iuO":
+        raise SBoxFormatError(f"entries must be integers, got {vals.dtype}")
+    out_of_range = np.flatnonzero((vals < 0) | (vals > 255))
+    if out_of_range.size:
+        raise SBoxFormatError(f"entry {vals[out_of_range[0]]} out of byte range")
+    return vals.astype(np.intp)
+
+
+def validate_table(raw) -> TableAudit:
+    """Scan a 256-entry table for duplicated and missing byte values."""
+    counts = np.bincount(_byte_values(raw), minlength=256)
+    duplicates = {int(v): int(counts[v]) for v in np.flatnonzero(counts > 1)}
+    missing = tuple(int(v) for v in np.flatnonzero(counts == 0))
     return TableAudit(not duplicates and not missing, duplicates, missing)
 
 
 def invert_table(raw) -> list[int]:
     """Inverse of a bijective 256-entry table; raises with the audit if not."""
-    audit = validate_table(raw)
+    vals = _byte_values(raw)
+    audit = validate_table(vals)
     if not audit.bijective:
         raise SBoxValidationError(audit)
-    inv = [0] * 256
-    for i, v in enumerate(raw):
-        inv[v] = i
-    return inv
+    inv = np.empty(256, dtype=np.intp)
+    inv[vals] = _BYTES
+    return inv.tolist()
 
 
 def build_sbox(params: LftParams) -> LftSBox:
@@ -136,11 +154,21 @@ def build_sbox(params: LftParams) -> LftSBox:
     For c != 0 the pole z* = d/c is sent to a/c (the image of infinity),
     closing the bijection; for c = 0 the map is affine and total.
     """
-    spec = field(params.reduction)
-    return _build_sbox_in_field(spec, params)
+    return _build_sbox_in_field(field(params.reduction), params, params)
 
 
-def _build_sbox_in_field(spec: FieldSpec, params: LftParams) -> LftSBox:
+@lru_cache(maxsize=None)
+def _log_arrays(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """spec's log table (log 0 read as 0) and its antilog table repeated
+    to 510 entries, so that the sum of two logs indexes it without a mod."""
+    log = np.array([0 if v is None else v for v in spec.log_table], dtype=np.intp)
+    antilog = np.array(spec.antilog_table * 2, dtype=np.uint8)
+    return log, antilog
+
+
+def _build_sbox_in_field(
+    spec: FieldSpec, params: LftParams, provenance: LftParams | str
+) -> LftSBox:
     a, b, c, d = params.a, params.b, params.c, params.d
     det = spec.mul(a, d) ^ spec.mul(b, c)
     if det == 0:
@@ -148,18 +176,26 @@ def _build_sbox_in_field(spec: FieldSpec, params: LftParams) -> LftSBox:
             f"degenerate transformation: ad+bc = 0 for (a,b,c,d)=({a},{b},{c},{d}) "
             f"under {spec.reduction.monomials()}"
         )
-    table = bytearray(256)
-    for z in range(256):
-        den = spec.mul(c, z) ^ d
-        num = spec.mul(a, z) ^ b
-        if den == 0:
-            table[z] = spec.div(a, c)
-        elif num == 0:
-            table[z] = 0
-        else:
-            table[z] = spec.div(num, den)
-    inverse = bytes(invert_table(table))
-    return LftSBox(bytes(table), inverse, params)
+    log, antilog = _log_arrays(spec)
+    num = _times_all_bytes(a, log, antilog) ^ b
+    den = _times_all_bytes(c, log, antilog) ^ d
+    # (log num - log den) lies in -254..254; +255 keeps it inside the doubled table
+    table = antilog[log[num] - log[den] + 255]
+    table[num == 0] = 0
+    if c:
+        table[den == 0] = spec.div(a, c)
+    inverse = np.empty(256, dtype=np.uint8)
+    inverse[table] = _BYTES
+    return LftSBox(table.tobytes(), inverse.tobytes(), provenance)
+
+
+def _times_all_bytes(k: int, log: np.ndarray, antilog: np.ndarray) -> np.ndarray:
+    """k * z for every byte z, from the field's log tables."""
+    if k == 0:
+        return np.zeros(256, dtype=np.uint8)
+    prod = antilog[log[k] + log]
+    prod[0] = 0
+    return prod
 
 
 def build_family(
@@ -175,14 +211,15 @@ def build_family(
         for i in range(1, len(golden.PRIMITIVE_POLY_MASKS) + 1):
             boxes.append(build_sbox(LftParams(a, b, c, d, poly_index=i)))
         return tuple(boxes)
+    params = LftParams(a, b, c, d)
     for mask in polys:
         spec = field(mask)
+        if spec.n != 8:
+            raise ValueError(f"{spec.reduction.monomials()} does not have degree 8")
         if not spec.is_primitive:
             raise ValueError(f"{spec.reduction.monomials()} is not primitive")
-        params = LftParams(a, b, c, d)
-        box = _build_sbox_in_field(spec, params)
         provenance = f"lft({a},{b},{c},{d}) mod {spec.reduction.to_hex()}"
-        boxes.append(LftSBox(box.table, box.inverse, provenance))
+        boxes.append(_build_sbox_in_field(spec, params, provenance))
     return tuple(boxes)
 
 

@@ -23,14 +23,13 @@ _PAIR_MASKS = tuple(
 
 def _as_table(s) -> np.ndarray:
     """Coerce an LftSBox / bytes / sequence to a validated bijective table."""
-    if isinstance(s, LftSBox):
-        vals = np.frombuffer(s.table, dtype=np.uint8).astype(np.int64)
-    else:
-        vals = np.asarray(list(s), dtype=np.int64)
-    audit = validate_table(vals.tolist())
+    if isinstance(s, LftSBox):  # validated when the box was made
+        return np.frombuffer(s.table, dtype=np.uint8).astype(np.int64)
+    vals = list(s)
+    audit = validate_table(vals)
     if not audit.bijective:
         raise SBoxValidationError(audit)
-    return vals
+    return np.array(vals, dtype=np.int64)
 
 
 def fwht(values) -> np.ndarray:
@@ -116,23 +115,14 @@ def difference_distribution_table(s) -> np.ndarray:
     """Full 256x256 DDT; row dx, column dy, entries count inputs."""
     table = _as_table(s)
     xs = np.arange(256)
-    ddt = np.zeros((256, 256), dtype=np.int64)
-    ddt[0, 0] = 256
-    for dx in range(1, 256):
-        dy = table ^ table[xs ^ dx]
-        ddt[dx] = np.bincount(dy, minlength=256)
-    return ddt
+    dx = xs[:, None]
+    dy = table ^ table[dx ^ xs]  # dy[dx, x] = s(x) + s(x + dx)
+    return np.bincount((dx * 256 + dy).ravel(), minlength=256 * 256).reshape(256, 256)
 
 
 def differential_probability(s) -> float:
     """Max over dx != 0 and all dy of #{x : s(x)+s(x+dx) = dy} / 256."""
-    table = _as_table(s)
-    xs = np.arange(256)
-    best = 0
-    for dx in range(1, 256):
-        dy = table ^ table[xs ^ dx]
-        best = max(best, int(np.bincount(dy, minlength=256).max()))
-    return best / 256
+    return int(difference_distribution_table(s)[1:].max()) / 256
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,22 @@ class TestEncryptDecrypt:
         b = np.frombuffer(wrong.data, np.uint8)
         assert (a == b).mean() < 0.02
 
+    def test_precomputed_keystream(self, test_key):
+        img = make_natural_image(seed=23, width=24, height=16)
+        rgb = ImageBuffer.from_array(np.stack([img.to_array()] * 3, axis=2))
+        ks = test_key.keystream(img.pixel_count)
+        for im in (img, rgb):
+            ct = encrypt(im, test_key)
+            assert encrypt(im, test_key, ks) == ct
+            assert decrypt(ct, test_key, ks) == decrypt(ct, test_key) == im
+
+    def test_precomputed_keystream_length_checked(self, test_key):
+        img = make_natural_image(seed=23, width=24, height=16)
+        short = test_key.keystream(img.pixel_count - 1)
+        for fn in (encrypt, decrypt):
+            with pytest.raises(ValueError, match="keystream length"):
+                fn(img, test_key, short)
+
     def test_single_byte_change_propagates_to_one_byte(self, test_key):
         # the pipeline is bytewise (permute, xor, substitute), so one
         # plaintext change moves to exactly one ciphertext position

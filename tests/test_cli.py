@@ -155,6 +155,39 @@ class TestEncryptDecrypt:
         assert err.count("\n") == 1
         assert "burn_in" in err
 
+    def test_non_utf8_key_file(self, tmp_path, small_image, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(KEY_TEXT.encode() + b"# caf\xe9\n")
+        rc = main(["encrypt", "--key", str(bad), "--in", small_image,
+                   "--out", str(tmp_path / "ct.pgm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:keyfile:")
+        assert err.count("\n") == 1
+        assert "latin1.txt" in err
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_emit_keystream_derives_once(self, tmp_path, keyfile, small_image, command,
+                                         monkeypatch):
+        from lftcipher import lorenz
+
+        plain = tmp_path / "plain.pgm"
+        main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(plain)])
+        src = small_image if command == "encrypt" else str(plain)
+        main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "ref.pgm")])
+        calls = []
+        original = lorenz.keystream
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lorenz, "keystream", counting)
+        assert main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "out.pgm"),
+                     "--emit-keystream", str(tmp_path / "ks.txt")]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "out.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
     def test_bad_image(self, tmp_path, keyfile, capsys):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n4 4\n255\nxx")
@@ -191,6 +224,25 @@ class TestMetricsCommand:
     def test_sampled_mode(self, small_image, capsys):
         assert main(["metrics", "--in", small_image, "--sample-pairs", "100",
                      "--seed", "1"]) == 0
+
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_sample_pairs_below_one(self, small_image, capsys, pairs):
+        assert main(["metrics", "--in", small_image, "--sample-pairs", pairs]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:invalid-input:")
+        assert err.count("\n") == 1
+        assert "sample_pairs" in err
+
+    def test_one_pixel_wide_image_correlation_undefined(self, tmp_path, capsys):
+        from lftcipher import ImageBuffer
+
+        path = tmp_path / "column.pgm"
+        write_image(ImageBuffer(1, 8, 1, bytes(range(8))), path)
+        assert main(["metrics", "--in", str(path), "--glcm-offset", "1,0"]) == 0
+        out = capsys.readouterr().out
+        assert "Corr. (horizontal): undefined" in out
+        assert "Corr. (vertical): 1.000000" in out
 
 
 class TestAttackSim:

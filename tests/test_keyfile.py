@@ -112,6 +112,12 @@ class TestFileIo:
         assert kf.lorenz.a == 11.25
         assert str(path) in kf.source
 
+    def test_non_utf8_file_is_key_file_error(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+        with pytest.raises(KeyFileError, match="latin1.txt: not UTF-8 text"):
+            parse_key_file(path)
+
     def test_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "key.txt"
         path.write_text("x0=1\nbogus=2\n")

@@ -5,6 +5,7 @@ from conftest import make_natural_image
 from lftcipher import ImageBuffer
 from lftcipher.metrics import (
     AvalancheReport,
+    TooFewPairsError,
     adjacency_correlation,
     chi_square_uniform,
     cryptanalysis_report,
@@ -53,8 +54,16 @@ class TestAdjacencyCorrelation:
 
     def test_too_small(self):
         img = ImageBuffer(1, 3, 1, bytes(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewPairsError):
             adjacency_correlation(img, "horizontal")
+        with pytest.raises(TooFewPairsError):
+            adjacency_correlation(ImageBuffer(3, 1, 1, bytes(3)), "vertical")
+
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_sample_pairs_below_one_rejected(self, natural_image, pairs):
+        with pytest.raises(ValueError, match="sample_pairs must be at least 1") as exc:
+            adjacency_correlation(natural_image, "horizontal", sample_pairs=pairs, seed=1)
+        assert not isinstance(exc.value, TooFewPairsError)
 
     def test_sampled_mode_is_seeded(self, natural_image):
         a = adjacency_correlation(natural_image, "horizontal", sample_pairs=1000, seed=5)

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from lftcipher.gf2n import field
@@ -20,6 +23,75 @@ from lftcipher.sbox import (
 )
 
 IDENTITY = bytes(range(256))
+
+
+def lft_oracle(spec, a, b, c, d, inverses):
+    """g(z) = (az+b)/(cz+d) entry by entry with shift-and-reduce products;
+    inverses[v] is spec.inv_fermat(v).  The pole goes to a/c."""
+    table = []
+    for z in range(256):
+        num = spec.mul_naive(a, z) ^ b
+        den = spec.mul_naive(c, z) ^ d
+        if den == 0:
+            table.append(spec.mul_naive(a, inverses[c]))
+        else:
+            table.append(spec.mul_naive(num, inverses[den]))
+    return bytes(table)
+
+
+@pytest.fixture(scope="module")
+def fermat_inverses():
+    """Per primitive polynomial, the table v -> v^254 (0 for v = 0)."""
+    out = {}
+    for mask in PRIMITIVE_POLY_MASKS:
+        spec = field(mask)
+        out[mask] = [0] + [spec.inv_fermat(v) for v in range(1, 256)]
+    return out
+
+
+class TestBuildSboxOracle:
+    def test_random_lfts_all_polynomials(self, fermat_inverses):
+        rng = random.Random(2020)
+        built = 0
+        while built < 200:
+            a, b, c, d = (rng.randrange(256) for _ in range(4))
+            try:
+                fam = build_family(a, b, c, d)
+            except DegenerateLftError:
+                continue
+            for mask, box in zip(PRIMITIVE_POLY_MASKS, fam):
+                expected = lft_oracle(field(mask), a, b, c, d, fermat_inverses[mask])
+                assert box.table == expected, (a, b, c, d, hex(mask))
+                assert bytes(box.table[v] for v in box.inverse) == IDENTITY
+            built += 1
+
+    @pytest.mark.parametrize(
+        "lft",
+        [
+            (7, 19, 0, 1),  # c = 0: affine
+            (0, 19, 5, 1),  # a = 0
+            (7, 0, 5, 1),  # b = 0
+            (7, 19, 5, 0),  # d = 0: pole at z = 0
+            (0, 1, 1, 0),  # inversion: 0 <-> 0 via the pole convention
+            DEFAULT_LFT,
+        ],
+    )
+    def test_edge_coefficients(self, lft, fermat_inverses):
+        for i, mask in enumerate(PRIMITIVE_POLY_MASKS, start=1):
+            box = build_sbox(LftParams(*lft, poly_index=i))
+            assert box.table == lft_oracle(field(mask), *lft, fermat_inverses[mask])
+
+    def test_degenerate_message_unchanged(self):
+        with pytest.raises(DegenerateLftError) as exc:
+            build_sbox(LftParams(1, 1, 1, 1))
+        assert str(exc.value) == (
+            "degenerate transformation: ad+bc = 0 for (a,b,c,d)=(1,1,1,1) "
+            "under x^8+x^4+x^3+x^2+1"
+        )
+
+    def test_custom_list_rejects_other_degrees(self):
+        with pytest.raises(ValueError, match="degree 8"):
+            build_family(1, 0, 0, 1, polys=(0x13,))  # x^4+x+1 is primitive
 
 
 class TestLftParams:
@@ -139,6 +211,24 @@ class TestValidateAndLoad:
     def test_wrong_length_is_format_error(self):
         with pytest.raises(SBoxFormatError):
             load_external_sbox(bytes(255))
+
+    def test_out_of_range_entries_are_format_errors(self):
+        for bad in (256, -1, 2**70):
+            with pytest.raises(SBoxFormatError, match=f"entry {bad} out of byte range"):
+                validate_table([0] * 255 + [bad])
+            with pytest.raises(SBoxFormatError):
+                invert_table([bad] + list(range(1, 256)))
+
+    def test_non_integer_entries_are_format_errors(self):
+        with pytest.raises(SBoxFormatError):
+            validate_table([0.5] * 256)
+
+    def test_audit_same_for_every_input_type(self):
+        ref = list(REFERENCE_SBOX)
+        for raw in (ref, tuple(ref), bytes(ref), np.array(ref), np.array(ref, dtype=np.uint8)):
+            audit = validate_table(raw)
+            assert audit.duplicates == {23: 2, 157: 2}
+            assert audit.missing == (167, 238)
 
     def test_non_bijective_raises_with_audit(self):
         with pytest.raises(SBoxValidationError) as exc:

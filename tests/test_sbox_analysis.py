@@ -184,6 +184,16 @@ class TestDifferentialProbability:
             best = max(best, max(counts))
         assert best / 256 == differential_probability(inv)
 
+    def test_ddt_matches_per_dx_loop(self, family):
+        rng = np.random.default_rng(3)
+        for t in (family[2].table, random_bijection(rng), IDENTITY):
+            vals = np.frombuffer(t, dtype=np.uint8).astype(np.int64)
+            xs = np.arange(256)
+            expected = np.array(
+                [np.bincount(vals ^ vals[xs ^ dx], minlength=256) for dx in range(256)]
+            )
+            assert np.array_equal(difference_distribution_table(t), expected)
+
     def test_inverse_box_has_same_dp(self, family):
         rng = np.random.default_rng(7)
         boxes = [family[0].table, family[5].table] + [random_bijection(rng) for _ in range(3)]
