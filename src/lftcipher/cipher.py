@@ -117,7 +117,7 @@ def permute(v, perm) -> np.ndarray:
     perm = np.asarray(perm)
     if v.shape != perm.shape:
         raise ValueError(f"length mismatch: vector {v.size}, permutation {perm.size}")
-    return v[perm]
+    return np.take(v, perm)
 
 
 def inverse_permute(v, perm) -> np.ndarray:
@@ -140,39 +140,38 @@ def xor_mask(v, mask) -> np.ndarray:
     return v ^ mask
 
 
-def _stacked(sboxes, inverse: bool = False) -> np.ndarray:
-    rows = [s.inverse if inverse else s.table for s in sboxes]
-    return np.stack([np.frombuffer(r, dtype=np.uint8) for r in rows])
-
-
-def substitute(v, selectors, sboxes) -> np.ndarray:
-    """Per position, replace the byte through the selector-designated S-box.
+def _lookup(v, selectors, sboxes, inverse: bool) -> np.ndarray:
+    """One gather through the concatenated tables: entry selector * 256 + byte.
 
     Row/column selection by high/low nibble is exactly a full-byte lookup,
     since row*16 + column reassembles the byte.
     """
     v = np.asarray(v)
     selectors = np.asarray(selectors)
+    if v.dtype != np.uint8:
+        raise ValueError(f"vector must be uint8 bytes, got {v.dtype}")
     if v.shape != selectors.shape:
         raise ValueError(f"length mismatch: vector {v.size}, selectors {selectors.size}")
-    if selectors.size and int(selectors.max()) >= len(sboxes):
+    if selectors.size and not 0 <= int(selectors.min()) <= int(selectors.max()) < len(sboxes):
         raise ValueError(
-            f"selector {int(selectors.max())} out of range for {len(sboxes)} S-boxes"
+            f"selectors {int(selectors.min())}..{int(selectors.max())}"
+            f" out of range for {len(sboxes)} S-boxes"
         )
-    return _stacked(sboxes)[selectors, v]
+    tables = b"".join(s.inverse if inverse else s.table for s in sboxes)
+    index = selectors.astype(np.uint16)
+    index <<= 8
+    index |= v
+    return np.take(np.frombuffer(tables, dtype=np.uint8), index)
+
+
+def substitute(v, selectors, sboxes) -> np.ndarray:
+    """Per position, replace the byte through the selector-designated S-box."""
+    return _lookup(v, selectors, sboxes, inverse=False)
 
 
 def inverse_substitute(v, selectors, sboxes) -> np.ndarray:
     """Undo substitute using the inverse tables."""
-    v = np.asarray(v)
-    selectors = np.asarray(selectors)
-    if v.shape != selectors.shape:
-        raise ValueError(f"length mismatch: vector {v.size}, selectors {selectors.size}")
-    if selectors.size and int(selectors.max()) >= len(sboxes):
-        raise ValueError(
-            f"selector {int(selectors.max())} out of range for {len(sboxes)} S-boxes"
-        )
-    return _stacked(sboxes, inverse=True)[selectors, v]
+    return _lookup(v, selectors, sboxes, inverse=True)
 
 
 def _keystream_for(img: ImageBuffer, key: CipherKey, ks: Keystream | None) -> Keystream:
@@ -183,24 +182,30 @@ def _keystream_for(img: ImageBuffer, key: CipherKey, ks: Keystream | None) -> Ke
     return ks
 
 
+def _map_planes(img: ImageBuffer, stage) -> ImageBuffer:
+    """Apply `stage` to each channel plane, its pixels in row-major order.
+
+    The planes are strided views of the (pixels, channels) array, so no
+    plane-major copy of the image is made.
+    """
+    pixels = np.frombuffer(img.data, dtype=np.uint8).reshape(img.pixel_count, img.channels)
+    out = np.empty_like(pixels)
+    for ch in range(img.channels):
+        out[:, ch] = stage(pixels[:, ch])
+    return ImageBuffer(img.width, img.height, img.channels, out.tobytes())
+
+
 def encrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> ImageBuffer:
-    """flatten -> permute -> xor_mask -> substitute -> reshape.
+    """permute -> xor_mask -> substitute, on each channel plane.
 
     ks, if given, must be key.keystream(img.pixel_count); it saves
     deriving the stream again when the caller already has it.
     """
     ks = _keystream_for(img, key, ks)
-    tables = _stacked(key.sboxes)
-    flat = flatten(img)
-    n = img.pixel_count
-    out = np.empty_like(flat)
-    for ch in range(img.channels):
-        plane = flat[ch * n : (ch + 1) * n]
-        plane = plane[ks.perm]
-        plane = plane ^ ks.mask
-        plane = tables[ks.selectors, plane]
-        out[ch * n : (ch + 1) * n] = plane
-    return unflatten(out, img.width, img.height, img.channels)
+    return _map_planes(
+        img,
+        lambda v: substitute(xor_mask(permute(v, ks.perm), ks.mask), ks.selectors, key.sboxes),
+    )
 
 
 def decrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> ImageBuffer:
@@ -209,14 +214,9 @@ def decrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> Im
     ks, if given, must be key.keystream(img.pixel_count), as for encrypt.
     """
     ks = _keystream_for(img, key, ks)
-    inverses = _stacked(key.sboxes, inverse=True)
-    flat = flatten(img)
-    n = img.pixel_count
-    out = np.empty_like(flat)
-    for ch in range(img.channels):
-        plane = flat[ch * n : (ch + 1) * n]
-        plane = inverses[ks.selectors, plane]
-        plane = plane ^ ks.mask
-        plane = inverse_permute(plane, ks.perm)
-        out[ch * n : (ch + 1) * n] = plane
-    return unflatten(out, img.width, img.height, img.channels)
+    return _map_planes(
+        img,
+        lambda v: inverse_permute(
+            xor_mask(inverse_substitute(v, ks.selectors, key.sboxes), ks.mask), ks.perm
+        ),
+    )

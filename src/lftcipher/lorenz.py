@@ -37,6 +37,8 @@ import numpy as np
 DISTURBANCE_INTERVAL = 10000
 DEFAULT_BURN_IN = 100
 MAX_BURN_IN = 1_000_000
+# 8192 x 8192 pixels; also keeps the rank sort's packed index within 26 bits
+MAX_KEYSTREAM_LENGTH = 1 << 26
 
 _KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
 # no FMA contraction and no fast-math: either would change the rounding
@@ -272,7 +274,39 @@ def interleave(traj: LorenzTrajectory, length: int) -> np.ndarray:
         raise ValueError(
             f"trajectory too short: {len(traj)} samples, need {need} for length {length}"
         )
-    return np.column_stack((traj.xs, traj.ys, traj.zs)).ravel()[:length].copy()
+    return np.stack((traj.xs, traj.ys, traj.zs), axis=1).ravel()[:length]
+
+
+def _rank_permutation(k: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.argsort(k, kind="stable") for k in [0, 1), by one sort of packed keys.
+
+    `keys` holds the bit patterns of k + 0.0 (the + 0.0 folds -0.0 into
+    +0.0) as uint64 and is overwritten.  For non-negative doubles the bit
+    patterns order as the values do, and below 1.0 the top two bits are
+    clear.  So with b index bits, the key (bits >> (b - 2)) << b | i keeps
+    the 64 - b high bits of k_i above the index i and fits in 64 bits;
+    sorting the keys sorts k with ties broken by lower index, except inside
+    runs of equal high parts, which are re-ordered by (k, index).
+    """
+    n = k.size
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    b = (n - 1).bit_length()
+    keys >>= max(b - 2, 0)
+    keys <<= b
+    keys |= perm.view(np.uint64)
+    keys.sort()
+    np.bitwise_and(keys, (1 << b) - 1, out=perm.view(np.uint64))
+    keys >>= b
+    ties = np.flatnonzero(keys[1:] == keys[:-1])
+    if ties.size:
+        pos = np.concatenate((ties, ties + 1))
+        pos.sort()
+        pos = pos[np.diff(pos, prepend=-1) > 0]
+        idx = perm[pos]
+        perm[pos] = idx[np.lexsort((idx, k[idx], keys[pos]))]
+    return perm
 
 
 def derive_keystream(k, sbox_count: int = 16) -> Keystream:
@@ -283,28 +317,35 @@ def derive_keystream(k, sbox_count: int = 16) -> Keystream:
     selectors[i] = floor(k_i * 10^4) mod sbox_count
 
     The position shuffle is realized as the rank permutation of k, the
-    standard reading for this family of designs.  Any sort gives the same
-    permutation when k has no equal entries, so the faster unstable sort
-    is used and the stable one only when k turns out to have ties.
+    standard reading for this family of designs.  k_i * 10^4 lies in
+    [0, 10^4], so truncation toward zero is the floor and int32 and uint16
+    hold it.  A float64 array k is kept as the Keystream's k, not copied.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 1:
         raise ValueError("k must be one-dimensional")
     if k.size and not (k.min() >= 0.0 and k.max() < 1.0):
         raise ValueError("k entries must lie in [0, 1)")
+    if not 1 <= sbox_count <= 256:
+        raise ValueError(f"sbox_count must be in [1, 256], got {sbox_count}")
     scaled = k * 1e4
-    mask = (np.floor(scaled + 0.5).astype(np.int64) % 256).astype(np.uint8)
-    selectors = (np.floor(scaled).astype(np.int64) % sbox_count).astype(np.uint8)
-    perm = np.argsort(k)
-    ranked = np.take(k, perm, out=scaled)  # scaled is spent; reuse its memory
-    if np.any(ranked[1:] == ranked[:-1]):
-        perm = np.argsort(k, kind="stable")
-    return Keystream(k=k.copy(), perm=perm, mask=mask, selectors=selectors)
+    floor = scaled.astype(np.uint16)
+    # u - u // m * m is u % m; numpy vectorises integer floor division but
+    # not the remainder, which is about ten times slower
+    quotient = floor // sbox_count
+    quotient *= sbox_count
+    floor -= quotient
+    selectors = floor.astype(np.uint8)
+    scaled += 0.5
+    mask = scaled.astype(np.int32).astype(np.uint8)
+    keys = np.add(k, 0.0, out=scaled).view(np.uint64)  # scaled is spent
+    return Keystream(k=k, perm=_rank_permutation(k, keys), mask=mask, selectors=selectors)
 
 
 def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystream:
-    """Integrate, normalize, interleave and digest in one call."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    traj = integrate(params, -(-length // 3))
-    return derive_keystream(interleave(fractional(traj), length), sbox_count)
+    """Integrate, interleave, take fractional parts and digest in one call."""
+    if not 1 <= length <= MAX_KEYSTREAM_LENGTH:
+        raise ValueError(f"length must be in [1, {MAX_KEYSTREAM_LENGTH}], got {length}")
+    k = interleave(integrate(params, -(-length // 3)), length)
+    k -= np.floor(k)  # the fractional part, as `fractional` takes it per coordinate
+    return derive_keystream(k, sbox_count)

@@ -71,29 +71,37 @@ def adjacency_correlation(
         raise ValueError(f"direction must be horizontal or vertical, got {direction!r}")
     if sample_pairs is not None and sample_pairs < 1:
         raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
-    firsts, seconds = [], []
+    pairs = []
     for plane in _planes(img):
         if direction == "horizontal":
             if plane.shape[1] < 2:
                 raise TooFewPairsError("image too narrow for horizontal pairs")
-            a, b = plane[:, :-1], plane[:, 1:]
+            pairs.append((plane[:, :-1], plane[:, 1:]))
         else:
             if plane.shape[0] < 2:
                 raise TooFewPairsError("image too short for vertical pairs")
-            a, b = plane[:-1, :], plane[1:, :]
-        firsts.append(a.ravel())
-        seconds.append(b.ravel())
-    a = np.concatenate(firsts).astype(np.float64)
-    b = np.concatenate(seconds).astype(np.float64)
+            pairs.append((plane[:-1, :], plane[1:, :]))
     if sample_pairs is not None:
+        a = np.concatenate([a.ravel() for a, _ in pairs])
+        b = np.concatenate([b.ravel() for _, b in pairs])
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, a.size, size=sample_pairs)
-        a, b = a[idx], b[idx]
-    va = a.var()
-    vb = b.var()
-    if va == 0.0 or vb == 0.0:
+        pairs = [(a[idx], b[idx])]
+    # exact integer moments over uint8 views: no float copy of the population,
+    # and n * sum(a*a) - sum(a)**2 is exactly zero only for a constant side
+    n = sa = sb = saa = sbb = sab = 0
+    for a, b in pairs:
+        n += a.size
+        sa += int(a.sum(dtype=np.int64))
+        sb += int(b.sum(dtype=np.int64))
+        saa += int(np.square(a, dtype=np.uint16).sum(dtype=np.int64))
+        sbb += int(np.square(b, dtype=np.uint16).sum(dtype=np.int64))
+        sab += int(np.multiply(a, b, dtype=np.uint16).sum(dtype=np.int64))
+    var_a = n * saa - sa * sa
+    var_b = n * sbb - sb * sb
+    if var_a == 0 or var_b == 0:
         return None
-    return float(((a - a.mean()) * (b - b.mean())).mean() / math.sqrt(va * vb))
+    return (n * sab - sa * sb) / math.sqrt(var_a * var_b)
 
 
 def entropy(img: ImageBuffer) -> float:
@@ -149,10 +157,12 @@ def npcr_uaci(c1: ImageBuffer, c2: ImageBuffer, location: str | None = None) -> 
             f"dimension mismatch: {c1.width}x{c1.height}x{c1.channels} vs "
             f"{c2.width}x{c2.height}x{c2.channels}"
         )
-    a = np.frombuffer(c1.data, dtype=np.uint8).astype(np.int64)
-    b = np.frombuffer(c2.data, dtype=np.uint8).astype(np.int64)
-    npcr = float((a != b).mean() * 100)
-    uaci = float((np.abs(a - b) / 255).mean() * 100)
+    a = np.frombuffer(c1.data, dtype=np.uint8)
+    b = np.frombuffer(c2.data, dtype=np.uint8)
+    diff = np.subtract(a, b, dtype=np.int16)
+    np.abs(diff, out=diff)
+    npcr = int(np.count_nonzero(diff)) / a.size * 100
+    uaci = int(diff.sum(dtype=np.int64)) / 255 / a.size * 100
     return AvalancheReport(npcr, uaci, location)
 
 

@@ -2,8 +2,14 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lftcipher import CipherKey, FieldSpec, ImageBuffer, LorenzParams, build_family, lorenz
+
+# the same examples on every run, no example database written to the
+# checkout, and no per-example time limit on slow machines
+settings.register_profile("lftcipher", derandomize=True, database=None, deadline=None)
+settings.load_profile("lftcipher")
 
 
 def make_natural_image(seed: int, width: int = 256, height: int = 256) -> ImageBuffer:

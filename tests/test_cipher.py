@@ -128,6 +128,15 @@ class TestSubstitute:
         with pytest.raises(ValueError):
             substitute(np.array([1], dtype=np.uint8), np.array([16]), family)
 
+    @pytest.mark.parametrize("stage", [substitute, inverse_substitute])
+    def test_negative_selector(self, family, stage):
+        with pytest.raises(ValueError):
+            stage(np.array([1], dtype=np.uint8), np.array([-1]), family)
+
+    def test_bytes_required(self, family):
+        with pytest.raises(ValueError, match="uint8"):
+            substitute(np.array([1, 300]), np.array([0, 0]), family)
+
     def test_nibble_equivalence(self, family):
         # row = high nibble, column = low nibble is the byte itself
         box = family[3]

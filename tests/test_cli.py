@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_natural_image
+from lftcipher import lorenz
 from lftcipher.cli import main
 from lftcipher.golden import PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
 from lftcipher.netpbm import read_image, write_image
@@ -269,3 +270,15 @@ class TestKeystreamCommand:
         path = tmp_path / "ks.tsv"
         main(["keystream", "--key", keyfile, "--length", "8", "--out", str(path)])
         assert path.read_text() == stdout
+
+    def test_length_beyond_bound(self, keyfile, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("integrate reached")
+
+        monkeypatch.setattr(lorenz, "integrate", unreachable)
+        assert main(["keystream", "--key", keyfile, "--length", str(2**40)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error:invalid-input:")

@@ -45,6 +45,36 @@ KEYSTREAM_DIGESTS = {
     },
 }
 
+# CLI-scale streams: 1024 x 1024 pixels (20 index bits in the rank sort's
+# packed keys) and an odd length; for both keys and both lengths some
+# packed keys share their high part, so the sort's tie fix-up runs
+CLI_KEYSTREAM_DIGESTS = {
+    ("paper", 1048576): {
+        "k": "79f48da21ea828547451c8f122bd47eb915e511236841706f997827df8e62316",
+        "perm": "906a0759b5f6215baae3bb8ae48dc40aa14d8e019c0e5ac9b16e22cbbee53750",
+        "mask": "768ea6b37bb99681dfd2e7da772bac4544cc634dc895a1cae9fc31574774f277",
+        "selectors": "d627d995c82d44703bd5b5beb68942d1e295e0d76499524537e420e5992b0b81",
+    },
+    ("negative", 1048576): {
+        "k": "d62c87e923060d3087fbe276ec40a52d53d9e51275f02c8a53b608a2f5559384",
+        "perm": "d00bfa67becd14a52b273732dcd1fec12ef9b720e93e6691536a83bea50198f7",
+        "mask": "0b067a87d9cda8d1e01a9eeeb3cb358df4f60e5ce942f5c91abe0e4726de2bd6",
+        "selectors": "3b64a29c62527d9b304c3eff497d51a28c6af197f63bc4fdb58975f6dc5d2d8b",
+    },
+    ("paper", 1000003): {
+        "k": "4d8f112a511ab18fdbda58fd70285dcff5410ff9cf2b62237d2ba43216d63356",
+        "perm": "823007aebc826b20c1fee47c0bc3723b7ddc9e77d86cc5d68928887639412a65",
+        "mask": "cba859ffc80a0fdfcf46b83bf5097efe67710def58e9d147bfb5f31b4661cb0d",
+        "selectors": "0a90fbf8be8963303e0bf4dd31b0269d518f6009834530f2888240428b03a7d9",
+    },
+    ("negative", 1000003): {
+        "k": "35a78ac58c7d517b2cc122ea9a2d586502e71365c46f0d41d027348370a0f6e6",
+        "perm": "7abeb4ba71d4528ad6a6c55b486facfda195fd5aaf99c8a8c61dc40c7a4bcbe7",
+        "mask": "2399d016173d0a43feadcfe05a9fb6fb53fd0419c1f3d5e0b829cb0c51d415ed",
+        "selectors": "b1a28b0733dea181910ee6dd3d98491642497f773ce0310a8c4be308d9137bc0",
+    },
+}
+
 # sha256 prefixes of the 16 default-family tables, in polynomial order
 SBOX_DIGESTS = (
     "a025c95cbbae481c", "76bc4797341dd64a", "6342bb163ef871c0", "df6205df90a3f2eb",
@@ -62,16 +92,25 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(KEYS))
-def test_keystream_digests(name, rk4_path):
-    ks = keystream(KEYS[name], LENGTH)
-    got = {
+def keystream_digests(params, length):
+    ks = keystream(params, length)
+    return {
         "k": sha256(ks.k.astype("<f8").tobytes()),
         "perm": sha256(ks.perm.astype("<i8").tobytes()),
         "mask": sha256(ks.mask.tobytes()),
         "selectors": sha256(ks.selectors.tobytes()),
     }
-    assert got == KEYSTREAM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_keystream_digests(name, rk4_path):
+    assert keystream_digests(KEYS[name], LENGTH) == KEYSTREAM_DIGESTS[name]
+
+
+# the digest does not depend on the RK4 path, which the 65,536 pins cover
+@pytest.mark.parametrize("name, length", sorted(CLI_KEYSTREAM_DIGESTS))
+def test_cli_scale_keystream_digests(name, length):
+    assert keystream_digests(KEYS[name], length) == CLI_KEYSTREAM_DIGESTS[name, length]
 
 
 def test_default_sbox_tables():

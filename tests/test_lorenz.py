@@ -11,6 +11,7 @@ from lftcipher import lorenz
 from lftcipher.lorenz import (
     DISTURBANCE_INTERVAL,
     MAX_BURN_IN,
+    MAX_KEYSTREAM_LENGTH,
     IntegrationError,
     Keystream,
     LorenzParams,
@@ -372,6 +373,10 @@ class TestDeriveKeystream:
     def test_perm_is_stable_argsort(self, k):
         assert np.array_equal(derive_keystream(k).perm, np.argsort(k, kind="stable"))
 
+    def test_keeps_float64_k(self):
+        k = np.array([0.5, 0.25])
+        assert derive_keystream(k).k is k
+
     def test_perm_is_bijection(self):
         rng = np.random.default_rng(10)
         ks = derive_keystream(rng.uniform(0, 1, 10_000))
@@ -381,6 +386,11 @@ class TestDeriveKeystream:
         rng = np.random.default_rng(11)
         ks = derive_keystream(rng.uniform(0, 1, 1000), sbox_count=16)
         assert ks.selectors.max() < 16
+
+    @pytest.mark.parametrize("count", [0, -1, 257])
+    def test_sbox_count_must_fit_a_byte(self, count):
+        with pytest.raises(ValueError, match="sbox_count"):
+            derive_keystream(np.array([0.5]), sbox_count=count)
 
 
 class TestKeystream:
@@ -421,6 +431,15 @@ class TestKeystream:
     def test_length_one_required(self):
         with pytest.raises(ValueError):
             keystream(LorenzParams(1, 1, 1), 0)
+
+    @pytest.mark.parametrize("length", [MAX_KEYSTREAM_LENGTH + 1, 2**40])
+    def test_length_bounded_before_integration(self, monkeypatch, length):
+        def unreachable(*args):
+            raise AssertionError("integrate reached")
+
+        monkeypatch.setattr(lorenz, "integrate", unreachable)
+        with pytest.raises(ValueError, match="length must be in"):
+            keystream(LorenzParams(1, 1, 1), length)
 
     def test_lengths(self):
         ks = keystream(LorenzParams(1, 1, 1), 100)
