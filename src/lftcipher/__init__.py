@@ -4,7 +4,7 @@ evaluate both."""
 
 from .cipher import CipherKey, ImageBuffer, decrypt, encrypt
 from .gf2n import BinaryPoly, FieldSpec, field
-from .golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX, golden_assets
+from .golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
 from .keyfile import KeyFile, parse_key_file, parse_key_text
 from .lorenz import Keystream, LorenzParams, keystream
 from .netpbm import read_image, read_raw, write_image
@@ -33,7 +33,6 @@ __all__ = [
     "decrypt",
     "encrypt",
     "field",
-    "golden_assets",
     "invert_sbox",
     "keystream",
     "load_external_sbox",

@@ -1,11 +1,11 @@
 """The two-phase image cipher: permute, XOR-mask, then substitute.
 
-Encryption flattens the image row-major (3-channel images are processed
-plane by plane with the same keystream), shuffles positions with the rank
-permutation of k, XORs the mask stream, and substitutes every byte through
-the S-box chosen by its selector.  Decryption applies the exact inverse
-stages in reverse order; the mask and permutation do not commute, so the
-stage order is normative.
+Encryption takes each channel plane in row-major pixel order (3-channel
+images are processed plane by plane with the same keystream), shuffles
+positions with the rank permutation of k, XORs the mask stream, and
+substitutes every byte through the S-box chosen by its selector.
+Decryption applies the exact inverse stages in reverse order; the mask and
+permutation do not commute, so the stage order is normative.
 """
 
 from __future__ import annotations
@@ -89,26 +89,6 @@ class CipherKey:
 
     def keystream(self, length: int) -> Keystream:
         return lorenz.keystream(self.lorenz, length, len(self.sboxes))
-
-
-def flatten(img: ImageBuffer) -> np.ndarray:
-    """Row-major 1-D byte vector; 3-channel images as concatenated planes."""
-    arr = img.to_array()
-    if img.channels == 1:
-        return arr.ravel().copy()
-    return arr.transpose(2, 0, 1).ravel().copy()
-
-
-def unflatten(flat, width: int, height: int, channels: int) -> ImageBuffer:
-    """Inverse of flatten."""
-    v = np.asarray(flat, dtype=np.uint8)
-    if v.size != width * height * channels:
-        raise ValueError(f"vector length {v.size} != {width}x{height}x{channels}")
-    if channels == 1:
-        return ImageBuffer.from_array(v.reshape(height, width))
-    return ImageBuffer.from_array(
-        v.reshape(channels, height, width).transpose(1, 2, 0).copy()
-    )
 
 
 def permute(v, perm) -> np.ndarray:

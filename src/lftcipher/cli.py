@@ -130,25 +130,15 @@ def cmd_analyze_sbox(args) -> int:
     return 0
 
 
-def cmd_encrypt(args) -> int:
+def cmd_cipher(args) -> int:
+    """encrypt or decrypt, whichever cipher function `args.stage` is."""
     key = parse_key_file(args.key).to_cipher_key()
     img = _read_input_image(args.infile, args.raw)
     ks = key.keystream(img.pixel_count)
     if args.emit_keystream:
         with open(args.emit_keystream, "w", encoding="utf-8") as f:
             _dump_keystream(ks, f)
-    netpbm.write_image(encrypt(img, key, ks), args.out)
-    return 0
-
-
-def cmd_decrypt(args) -> int:
-    key = parse_key_file(args.key).to_cipher_key()
-    img = _read_input_image(args.infile, args.raw)
-    ks = key.keystream(img.pixel_count)
-    if args.emit_keystream:
-        with open(args.emit_keystream, "w", encoding="utf-8") as f:
-            _dump_keystream(ks, f)
-    netpbm.write_image(decrypt(img, key, ks), args.out)
+    netpbm.write_image(args.stage(img, key, ks), args.out)
     return 0
 
 
@@ -226,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_analyze_sbox)
 
-    for name, fn in (("encrypt", cmd_encrypt), ("decrypt", cmd_decrypt)):
+    for name, stage in (("encrypt", encrypt), ("decrypt", decrypt)):
         p = sub.add_parser(name, help=f"{name} an image")
         p.add_argument("--key", required=True)
         p.add_argument("--in", dest="infile", required=True)
@@ -234,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--raw", metavar="WxH[xC]", help="input is headerless bytes")
         p.add_argument("--emit-keystream", metavar="FILE",
                        help="dump mask/perm/selectors (reveals the secret stream)")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_cipher, stage=stage)
 
     p = sub.add_parser("metrics", help="statistical analyses of an image")
     p.add_argument("--in", dest="infile", required=True)

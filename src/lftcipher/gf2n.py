@@ -157,17 +157,53 @@ class BinaryPoly:
         return BinaryPoly(q), BinaryPoly(r)
 
 
-def _trial_irreducible(bits: int) -> bool:
-    # self-contained trial division so FieldSpec does not depend on polyfind
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    ps = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            ps.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        ps.append(n)
+    return ps
+
+
+def is_irreducible_trial(f: BinaryPoly | int) -> bool:
+    """Irreducibility by trial division by every polynomial of degree <= n/2."""
+    bits = BinaryPoly.parse(f).bits
     n = bits.bit_length() - 1
     if n < 1:
-        return False
-    for g in range(2, 1 << (n // 2 + 1)):
-        if g.bit_length() < 2:
-            continue
-        if poly_mod(bits, g) == 0:
-            return False
-    return True
+        raise ValueError("irreducibility is only defined for degree >= 1")
+    return all(poly_mod(bits, g) for g in range(2, 1 << (n // 2 + 1)))
+
+
+def order_of_x(bits: int) -> int | None:
+    """Multiplicative order of x modulo an irreducible polynomial; None for
+    f = x itself, where x reduces to 0.
+
+    The order divides 2^n - 1, so start from o = 2^n - 1 and, for each prime
+    p of it, divide o by p while x^(o/p) = 1 (Lidl & Niederreiter, Finite
+    Fields, ch. 3); powers are taken by square-and-multiply.
+    """
+    if poly_mod(2, bits) == 0:
+        return None
+    order = (1 << (bits.bit_length() - 1)) - 1
+    for p in _prime_factors(order):
+        while order % p == 0:
+            power, base, e = 1, 2, order // p
+            while e:
+                if e & 1:
+                    power = poly_mulmod(power, base, bits)
+                base = poly_mulmod(base, base, bits)
+                e >>= 1
+            if power != 1:
+                break
+            order //= p
+    return order
 
 
 class FieldSpec:
@@ -187,12 +223,12 @@ class FieldSpec:
             raise ValueError(f"reduction polynomial must have degree >= 1, got {red!r}")
         if n > MAX_DEGREE:
             raise ValueError(f"extension degree {n} exceeds supported maximum {MAX_DEGREE}")
-        if not _trial_irreducible(red.bits):
+        if not is_irreducible_trial(red.bits):
             raise ValueError(f"{red.monomials()} is reducible and cannot define a field")
         self.reduction = red
         self.n = n
         self.order = 1 << n
-        self.generator_order = self._order_of_x()
+        self.generator_order = order_of_x(red.bits)
         self.is_primitive = self.generator_order == self.order - 1
         self.log_table: list[int | None] | None = None
         self.antilog_table: list[int] | None = None
@@ -215,17 +251,6 @@ class FieldSpec:
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:
             raise ValueError(f"element {a} out of range for GF(2^{self.n})")
-
-    def _order_of_x(self) -> int | None:
-        x = poly_mod(2, self.reduction.bits)
-        if x == 0:  # reduction is the polynomial x itself; x maps to 0
-            return None
-        acc = x
-        for k in range(1, self.order):
-            if acc == 1:
-                return k
-            acc = poly_mulmod(acc, x, self.reduction.bits)
-        return None
 
     # -- operations -------------------------------------------------------------
 

@@ -53,8 +53,3 @@ REFERENCE_SBOX: tuple[int, ...] = (
 
 # default linear fractional transform coefficients used by the family builder
 DEFAULT_LFT: tuple[int, int, int, int] = (32, 22, 11, 8)
-
-
-def golden_assets() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The embedded constants: (primitive polynomial masks, reference S-box)."""
-    return PRIMITIVE_POLY_MASKS, REFERENCE_SBOX

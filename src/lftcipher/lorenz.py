@@ -256,15 +256,6 @@ def integrate(params: LorenzParams, count: int) -> LorenzTrajectory:
     return LorenzTrajectory(xs, ys, zs)
 
 
-def fractional(traj: LorenzTrajectory) -> LorenzTrajectory:
-    """Keep v - floor(v) per coordinate, landing in [0, 1) for any sign."""
-    return LorenzTrajectory(
-        traj.xs - np.floor(traj.xs),
-        traj.ys - np.floor(traj.ys),
-        traj.zs - np.floor(traj.zs),
-    )
-
-
 def interleave(traj: LorenzTrajectory, length: int) -> np.ndarray:
     """k = x1, y1, z1, x2, y2, z2, ... truncated to exactly `length`."""
     if length < 0:
@@ -347,5 +338,5 @@ def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystr
     if not 1 <= length <= MAX_KEYSTREAM_LENGTH:
         raise ValueError(f"length must be in [1, {MAX_KEYSTREAM_LENGTH}], got {length}")
     k = interleave(integrate(params, -(-length // 3)), length)
-    k -= np.floor(k)  # the fractional part, as `fractional` takes it per coordinate
+    k -= np.floor(k)  # the fractional part, in [0, 1) for either sign
     return derive_keystream(k, sbox_count)

@@ -19,6 +19,8 @@ from .sbox_analysis import differential_probability, linear_probability
 
 PGL_ORDER = 16776960  # invertible fractional transforms over GF(2^8), up to scale
 
+_COUNT_CHUNK = 1 << 16  # elements per bincount call: a 512 KB intp copy at most
+
 
 @dataclass(frozen=True)
 class AvalancheReport:
@@ -104,9 +106,21 @@ def adjacency_correlation(
     return (n * sab - sa * sb) / math.sqrt(var_a * var_b)
 
 
+def _histogram(values: np.ndarray, size: int) -> np.ndarray:
+    """Counts of each value in 0..size-1 of a 1-D unsigned integer array.
+
+    np.bincount converts its input to intp, so it is fed fixed-size chunks
+    rather than the whole array.
+    """
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, values.size, _COUNT_CHUNK):
+        counts += np.bincount(values[start : start + _COUNT_CHUNK], minlength=size)
+    return counts
+
+
 def entropy(img: ImageBuffer) -> float:
     """Shannon entropy of the byte histogram, in bits; 0*log(0) = 0."""
-    counts = np.bincount(np.frombuffer(img.data, dtype=np.uint8), minlength=256)
+    counts = _histogram(np.frombuffer(img.data, dtype=np.uint8), 256)
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
@@ -124,10 +138,11 @@ def glcm(img: ImageBuffer, offset: tuple[int, int] = (0, 1)) -> np.ndarray:
         c0, c1 = max(0, -dc), min(w, w - dc)
         if r1 <= r0 or c1 <= c0:
             raise ValueError(f"image too small for GLCM offset ({dr},{dc})")
-        first = plane[r0:r1, c0:c1].astype(np.int64)
-        second = plane[r0 + dr : r1 + dr, c0 + dc : c1 + dc].astype(np.int64)
-        counts += np.bincount((first * 256 + second).ravel(), minlength=256 * 256)
-        total += first.size
+        pair = plane[r0:r1, c0:c1].astype(np.uint16)  # first << 8 | second
+        pair <<= 8
+        pair |= plane[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+        counts += _histogram(pair.ravel(), 256 * 256)
+        total += pair.size
     return (counts / total).reshape(256, 256)
 
 
@@ -145,7 +160,7 @@ def glcm_features(img: ImageBuffer, offset: tuple[int, int] = (0, 1)) -> GlcmFea
 
 def chi_square_uniform(img: ImageBuffer) -> float:
     """Chi-square statistic of the byte histogram against uniform (255 dof)."""
-    counts = np.bincount(np.frombuffer(img.data, dtype=np.uint8), minlength=256)
+    counts = _histogram(np.frombuffer(img.data, dtype=np.uint8), 256)
     expected = counts.sum() / 256
     return float(((counts - expected) ** 2 / expected).sum())
 

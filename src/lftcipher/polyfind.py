@@ -1,17 +1,18 @@
 """Enumeration and classification of irreducible and primitive polynomials
 over GF(2).
 
-Two independent irreducibility tests are provided: Rabin's test (the fast
-path) and exhaustive trial division (the reference); both must agree for
-every candidate.  A polynomial is primitive when x has multiplicative
-order 2^n - 1 modulo it.
+Candidates are classified by Rabin's irreducibility test; exhaustive trial
+division (`is_irreducible_trial`, from :mod:`lftcipher.gf2n`) is the
+independent reference it must agree with.  A polynomial is primitive when
+x has multiplicative order 2^n - 1 modulo it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2n import BinaryPoly, poly_gcd, poly_mod, poly_mulmod
+from .gf2n import BinaryPoly, _prime_factors, order_of_x, poly_gcd, poly_mod, poly_mulmod
+from .gf2n import is_irreducible_trial  # noqa: F401  the reference Rabin is tested against
 
 
 @dataclass(frozen=True)
@@ -33,20 +34,6 @@ class PolyClassification:
             raise ValueError("primitive implies irreducible")
 
 
-def _prime_factors(n: int) -> list[int]:
-    ps = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            ps.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        ps.append(n)
-    return ps
-
-
 def _mobius(n: int) -> int:
     if n == 1:
         return 1
@@ -65,20 +52,6 @@ def _totient(n: int) -> int:
     for p in _prime_factors(n):
         r -= r // p
     return r
-
-
-def _order_of_x(bits: int) -> int | None:
-    """Multiplicative order of x modulo an irreducible polynomial."""
-    n = bits.bit_length() - 1
-    x = poly_mod(2, bits)
-    if x == 0:
-        return None
-    acc = x
-    for k in range(1, 1 << n):
-        if acc == 1:
-            return k
-        acc = poly_mulmod(acc, x, bits)
-    return None
 
 
 def is_irreducible_rabin(f: BinaryPoly | int) -> bool:
@@ -103,20 +76,6 @@ def is_irreducible_rabin(f: BinaryPoly | int) -> bool:
     for _ in range(n):
         g = poly_mulmod(g, g, bits)
     return g == poly_mod(2, bits)
-
-
-def is_irreducible_trial(f: BinaryPoly | int) -> bool:
-    """Reference test: trial division by every polynomial of degree <= n/2."""
-    bits = BinaryPoly.parse(f).bits
-    n = bits.bit_length() - 1
-    if n < 1:
-        raise ValueError("irreducibility is only defined for degree >= 1")
-    for g in range(2, 1 << (n // 2 + 1)):
-        if g.bit_length() < 2:
-            continue
-        if poly_mod(bits, g) == 0:
-            return False
-    return True
 
 
 def count_irreducible(n: int, p: int = 2) -> int:
@@ -154,7 +113,7 @@ def enumerate_classified(n: int) -> list[PolyClassification]:
     out = []
     for bits in candidates:
         irr = is_irreducible_rabin(bits)
-        order = _order_of_x(bits) if irr else None
+        order = order_of_x(bits) if irr else None
         primitive = irr and order == (1 << n) - 1
         out.append(PolyClassification(BinaryPoly(bits), irr, primitive, order))
     return out

@@ -98,12 +98,6 @@ class LftSBox:
         if wrong.size:
             raise ValueError(f"inverse table inconsistent at input {wrong[0]}")
 
-    def apply(self, v: int) -> int:
-        return self.table[v]
-
-    def apply_inverse(self, v: int) -> int:
-        return self.inverse[v]
-
     def to_text(self) -> str:
         return format_table_text(self.table)
 

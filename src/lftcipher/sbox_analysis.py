@@ -14,11 +14,15 @@ import numpy as np
 
 from .sbox import LftSBox, SBoxValidationError, validate_table
 
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.int64)
+_PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
 _COORD_MASKS = tuple(1 << j for j in range(8))
 _PAIR_MASKS = tuple(
     (1 << j) | (1 << k) for j in range(8) for k in range(j + 1, 8)
 )
+_BYTES = np.arange(256, dtype=np.uint8)
+_FLIPS = _BYTES ^ np.array(_COORD_MASKS, dtype=np.uint8)[:, None]  # x with bit i flipped
+# the 256x256 Sylvester-Hadamard matrix, _H[i, j] = (-1)^parity(i & j)
+_H = np.where(_PARITY[np.bitwise_and.outer(_BYTES, _BYTES)], np.float32(-1), np.float32(1))
 
 
 def _as_table(s) -> np.ndarray:
@@ -32,42 +36,24 @@ def _as_table(s) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
-def fwht(values) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis (length a power of two)."""
-    a = np.array(values, dtype=np.int64, copy=True)
-    n = a.shape[-1]
-    h = 1
-    while h < n:
-        for i in range(0, n, 2 * h):
-            lo = a[..., i : i + h].copy()
-            hi = a[..., i + h : i + 2 * h].copy()
-            a[..., i : i + h] = lo + hi
-            a[..., i + h : i + 2 * h] = lo - hi
-        h *= 2
-    return a
+def _spectra(table: np.ndarray, masks=_BYTES) -> np.ndarray:
+    """Walsh spectra of the output masks Gy in `masks`, one row each: entry
+    (row, Gx) is the sum over x of (-1)^(parity(Gy & s(x)) + parity(Gx & x)).
+
+    One float32 matrix product, exact because every partial sum is an
+    integer of magnitude at most 256.
+    """
+    return (_H[np.ix_(masks, table)] @ _H).astype(np.int64)
 
 
-def walsh_spectrum(bool_values) -> np.ndarray:
-    """Spectrum of a Boolean function given as 0/1 values over all inputs."""
-    f = np.asarray(bool_values, dtype=np.int64)
-    return fwht(1 - 2 * f)
-
-
-def _mask_spectra(table: np.ndarray, masks) -> np.ndarray:
-    """Walsh spectra of parity(table & mask) for each output mask, stacked."""
-    f = _PARITY[np.bitwise_and.outer(np.asarray(masks, dtype=np.int64), table)]
-    return fwht(1 - 2 * f)
-
-
-def _nl_from_spectrum(w: np.ndarray) -> int:
-    return int(128 - np.max(np.abs(w)) // 2)
+def _nonlinearities(w: np.ndarray) -> np.ndarray:
+    """2^7 - max|W|/2 for each spectrum row of w."""
+    return 128 - np.abs(w).max(axis=1) // 2
 
 
 def nonlinearity(s) -> tuple[list[int], float]:
     """Per-coordinate nonlinearity 2^7 - max|W|/2 and the mean over the 8."""
-    table = _as_table(s)
-    w = _mask_spectra(table, _COORD_MASKS)
-    per = [_nl_from_spectrum(w[j]) for j in range(8)]
+    per = _nonlinearities(_spectra(_as_table(s), _COORD_MASKS)).tolist()
     return per, sum(per) / 8.0
 
 
@@ -75,27 +61,18 @@ def sac_matrix(s) -> tuple[np.ndarray, float]:
     """Entry (i, j): fraction of inputs where flipping input bit i flips
     output bit j; also the mean over all 64 entries."""
     table = _as_table(s)
-    xs = np.arange(256)
-    m = np.empty((8, 8))
-    for i in range(8):
-        d = table ^ table[xs ^ (1 << i)]
-        for j in range(8):
-            m[i, j] = np.mean(d >> j & 1)
+    d = table ^ table[_FLIPS]  # d[i, x] = s(x) + s(x with bit i flipped)
+    m = (d[:, :, None] >> np.arange(8) & 1).mean(axis=1)
     return m, float(m.mean())
 
 
 def bic(s) -> tuple[float, float]:
     """Mean nonlinearity and mean SAC over XORs of all output-bit pairs."""
     table = _as_table(s)
-    xs = np.arange(256)
-    w = _mask_spectra(table, _PAIR_MASKS)
-    nls = [_nl_from_spectrum(w[p]) for p in range(len(_PAIR_MASKS))]
-    sacs = []
-    for mask in _PAIR_MASKS:
-        g = _PARITY[table & mask]
-        for i in range(8):
-            sacs.append(np.mean(g ^ g[xs ^ (1 << i)]))
-    return float(np.mean(nls)), float(np.mean(sacs))
+    nls = _nonlinearities(_spectra(table, _PAIR_MASKS))
+    d = table ^ table[_FLIPS]
+    sacs = _PARITY[d[:, :, None] & _PAIR_MASKS]
+    return float(np.mean(nls)), float(sacs.mean())
 
 
 def linear_probability(s) -> tuple[int, float]:
@@ -104,8 +81,7 @@ def linear_probability(s) -> tuple[int, float]:
     count(Gx, Gy) = #{x : parity(x & Gx) = parity(s(x) & Gy)}, recovered
     from the Walsh spectrum as (256 + W_Gy(Gx)) / 2.
     """
-    table = _as_table(s)
-    w = _mask_spectra(table, range(1, 256))[:, 1:]  # drop Gx = 0
+    w = _spectra(_as_table(s))[1:, 1:]  # drop Gy = 0 and Gx = 0
     max_count = int((256 + w.max()) // 2)
     max_bias = float(np.abs(w).max() / 512)
     return max_count, max_bias

@@ -31,6 +31,27 @@ def make_natural_image(seed: int, width: int = 256, height: int = 256) -> ImageB
     return ImageBuffer.from_array(np.clip(img, 0, 255).astype(np.uint8))
 
 
+def flatten(img: ImageBuffer) -> np.ndarray:
+    """Plane-order reference: row-major 1-D byte vector, 3-channel images as
+    concatenated planes, the order in which the cipher treats the pixels."""
+    arr = img.to_array()
+    if img.channels == 1:
+        return arr.ravel().copy()
+    return arr.transpose(2, 0, 1).ravel().copy()
+
+
+def unflatten(flat, width: int, height: int, channels: int) -> ImageBuffer:
+    """Inverse of flatten."""
+    v = np.asarray(flat, dtype=np.uint8)
+    if v.size != width * height * channels:
+        raise ValueError(f"vector length {v.size} != {width}x{height}x{channels}")
+    if channels == 1:
+        return ImageBuffer.from_array(v.reshape(height, width))
+    return ImageBuffer.from_array(
+        v.reshape(channels, height, width).transpose(1, 2, 0).copy()
+    )
+
+
 @pytest.fixture(scope="session")
 def field_p1() -> FieldSpec:
     return FieldSpec(0x11D)

@@ -3,15 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import make_natural_image
+from conftest import flatten, make_natural_image, unflatten
 from lftcipher import CipherKey, ImageBuffer, LorenzParams, decrypt, encrypt
 from lftcipher.cipher import (
-    flatten,
     inverse_permute,
     inverse_substitute,
     permute,
     substitute,
-    unflatten,
     xor_mask,
 )
 from lftcipher.metrics import entropy, npcr_uaci

@@ -8,6 +8,8 @@ from lftcipher.gf2n import (
     GeneratorSpanError,
     build_log_tables,
     field,
+    is_irreducible_trial,
+    order_of_x,
     poly_divmod,
     poly_gcd,
     poly_mod,
@@ -25,6 +27,19 @@ def oracle_mul(a: int, b: int, reduction: int, n: int) -> int:
         if prod >> deg & 1:
             prod ^= reduction << (deg - n)
     return prod
+
+
+def walk_order_of_x(bits: int) -> int | None:
+    """Step-by-step reference: multiply by x until the power returns to 1."""
+    n = bits.bit_length() - 1
+    power = 1
+    for k in range(1, 1 << n):
+        power <<= 1
+        if power >> n & 1:
+            power ^= bits
+        if power in (0, 1):
+            return k if power else None
+    return None
 
 
 class TestBinaryPoly:
@@ -110,6 +125,15 @@ class TestFieldSpecConstruction:
         assert spec.antilog_table is None
         with pytest.raises(GeneratorSpanError):
             build_log_tables(spec)
+
+    def test_order_of_x_matches_walk(self):
+        irreducible = [
+            bits for n in range(1, 13) for bits in range(1 << n, 1 << (n + 1))
+            if is_irreducible_trial(bits)
+        ]
+        assert len(irreducible) == 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30 + 56 + 99 + 186 + 335
+        for bits in irreducible:
+            assert order_of_x(bits) == walk_order_of_x(bits), hex(bits)
 
     def test_field_factory_shares_specs(self):
         assert field(0x11D) is field(0x11D)

@@ -1,9 +1,9 @@
-"""Bit-exact golden gate: sha256 digests of keystreams, S-box tables and
-ciphertexts, pinned from the pure-Python reference implementation.
+"""Bit-exact golden gate: sha256 digests of keystreams, S-box tables,
+ciphertexts and analysis output, pinned from the reference implementations.
 
-Every test runs on both RK4 paths.  A mismatch means a change altered the
-cipher's output; re-pin only in a change that does so on purpose and says
-why.
+Every test that derives a keystream runs on both RK4 paths.  A mismatch
+means a change altered the program's output; re-pin only in a change that
+does so on purpose and says why.
 """
 
 import hashlib
@@ -13,7 +13,10 @@ import pytest
 
 from conftest import make_natural_image
 from lftcipher import DEFAULT_LFT, CipherKey, ImageBuffer, LorenzParams, build_family, encrypt
+from lftcipher.cli import main
 from lftcipher.lorenz import keystream
+from lftcipher.metrics import cryptanalysis_report
+from lftcipher.sbox_analysis import analyze
 
 # past 30003 entries, so the t = 10001 and t = 20001 disturbances fire
 LENGTH = 65536
@@ -87,6 +90,59 @@ SBOX_FAMILY_DIGEST = "bc541d793d2626bdd76f6d989e9557b52ba65849f5fdf499d90073babd
 GRAY_CIPHERTEXT_DIGEST = "3d98bf4fc6abfebede089b09911700bc49a55cef072c60e266a061583200467a"
 RGB_CIPHERTEXT_DIGEST = "bbf496503577b3c1604deeba6bb50a391d32ed69b2cf3dd2c9447d1eb974d64e"
 
+# S-box sets for the analysis pins: four LFT families, and 16 seeded random
+# bijections, whose criteria (unlike the families') differ from box to box
+ANALYSIS_LFTS = {
+    "default": DEFAULT_LFT,
+    "lft-1-2-3-4": (1, 2, 3, 4),
+    "lft-200-17-99-5": (200, 17, 99, 5),
+    "lft-7-0-1-90": (7, 0, 1, 90),
+}
+RANDOM_BIJECTION_SEED = 2020
+
+# every LFT box is affine-equivalent to inversion, so the families share
+# one report text
+LFT_REPORT_DIGEST = "f95b10505734fbe1e9803a312093bfea8df3820f780ab1f72ee679eee473f91b"
+# (sha256 of repr of every StrengthReport, floats included; of the report text)
+ANALYSIS_DIGESTS = {
+    "default": (
+        "d7dccaf03d43299ab0aa55239328ac768488cf1785f6b7e531b6e3c9f3b3595e",
+        LFT_REPORT_DIGEST,
+    ),
+    "lft-1-2-3-4": (
+        "f68ea7b826811e9936851bffa7e31d72e5a459ec8b389bfe2764e4baedd281dd",
+        LFT_REPORT_DIGEST,
+    ),
+    "lft-200-17-99-5": (
+        "847bb56e29e1fe9da8d7d9812003df5949e58a861850e6f2d7c8dca0ca9b6a7c",
+        LFT_REPORT_DIGEST,
+    ),
+    "lft-7-0-1-90": (
+        "d34ba85298d8ffabd2de0fee4b56db5e1762c3468e2364d3be4146d5ef0068c9",
+        LFT_REPORT_DIGEST,
+    ),
+    "random": (
+        "ac9c86d20e6e44dd8cbe55bb566d8e3cd45d5d2766d52f026d3c5f9499b59b8f",
+        "06cae96c758ce1ca0bea26c3763b66625474c72f0f36901b77c83708714c08e3",
+    ),
+}
+
+# sha256 of the `enumerate-polys --degree N` output
+ENUMERATE_POLYS_DIGESTS = {
+    1: "756d7af5741dac1caa54b38e4d993ca4e65ed5f37020d9c834cca7038627af81",
+    2: "6632d95ca3ab6451f27ce7a04b04f18876a53cbda1ff1d549b3a98a59dd0cc9c",
+    3: "2ec0e1c66b805f82af1c885abd9f2a3d0e87d920937f4bcb41813519f9f8fc77",
+    4: "c7c069ae98a23a1461e44ff3fff4e1ce3a468413d3056df3a1d0378e2b801358",
+    5: "bd855536ab281e106bfef60c8c987cc41c15eac0f26dee1378fadf97601fbe50",
+    6: "260ed05631d2a2dbfbbe921c7170cb142f192821a8fdd98349f0f9d30fd13d47",
+    7: "0a5fda7bf1c1373af65c1b4859d68636e4519608ebfb944fb6f0f11eb0d050a5",
+    8: "3a9f80448755b73f47953ef964646449fa1dc54aa62f8a8439761b3050e72db5",
+    9: "cc6980f79e3b0cd97f3fffbd9fa07f049d2e6d48ce0ca2f5828a86b1fa1ea383",
+    10: "6b6c485c0327dcd514f0e3c9861475d15cfb54f1330fa419cbcfdf62840a60f4",
+    11: "1df2be055deee528a796ba23bf4e4231f789f2a07c49ec77381ad6a1c1d9222f",
+    12: "a9c076f6ac6311573daf4b2ce9cbcbe3bebe5ed828311790fb29f50e4f1629b4",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -127,3 +183,23 @@ def test_ciphertexts(rk4_path):
     )
     assert sha256(encrypt(gray, key).data) == GRAY_CIPHERTEXT_DIGEST
     assert sha256(encrypt(rgb, key).data) == RGB_CIPHERTEXT_DIGEST
+
+
+def analysis_boxes(name):
+    if name == "random":
+        rng = np.random.default_rng(RANDOM_BIJECTION_SEED)
+        return [rng.permutation(256).astype(np.uint8).tobytes() for _ in range(16)]
+    return build_family(*ANALYSIS_LFTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_DIGESTS))
+def test_analysis_digests(name):
+    boxes = analysis_boxes(name)
+    reports = sha256(repr([analyze(box) for box in boxes]).encode())
+    assert (reports, sha256(cryptanalysis_report(boxes).encode())) == ANALYSIS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("degree", sorted(ENUMERATE_POLYS_DIGESTS))
+def test_enumerate_polys_digests(degree, capsys):
+    assert main(["enumerate-polys", "--degree", str(degree)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == ENUMERATE_POLYS_DIGESTS[degree]

@@ -17,7 +17,6 @@ from lftcipher.lorenz import (
     LorenzParams,
     LorenzTrajectory,
     derive_keystream,
-    fractional,
     integrate,
     interleave,
     keystream,
@@ -280,23 +279,23 @@ class TestKernelLoading:
 
 
 class TestFractional:
-    def test_scalar_cases(self):
+    """keystream's k is v - floor(v) of the interleaved trajectory."""
+
+    def test_scalar_cases(self, monkeypatch):
         traj = LorenzTrajectory(
             np.array([3.25, -1.75, 0.0]),
             np.array([0.5, -0.5, 2.0]),
             np.array([-3.0, 1.0 - 1e-12, 100.25]),
         )
-        out = fractional(traj)
-        assert out.xs.tolist() == [0.25, 0.25, 0.0]
-        assert out.ys.tolist() == [0.5, 0.5, 0.0]
-        assert out.zs[0] == 0.0
+        monkeypatch.setattr(lorenz, "integrate", lambda params, count: traj)
+        k = keystream(LorenzParams(1.0, 1.0, 1.0), 9).k
+        assert k.tolist() == [0.25, 0.5, 0.0, 0.25, 0.5, 1.0 - 1e-12, 0.0, 0.0, 0.25]
+        assert not np.signbit(k).any()
 
     def test_range_invariant(self):
-        traj = integrate(LorenzParams(1.2, 3.4, 5.6), 2000)
-        out = fractional(traj)
-        for arr in (out.xs, out.ys, out.zs):
-            assert arr.min() >= 0.0
-            assert arr.max() < 1.0
+        k = keystream(LorenzParams(1.2, 3.4, 5.6), 6000).k
+        assert k.min() >= 0.0
+        assert k.max() < 1.0
 
 
 class TestInterleave:
@@ -317,7 +316,7 @@ class TestInterleave:
             interleave(traj, 4)
 
     def test_image_sized(self):
-        traj = fractional(integrate(LorenzParams(1.1, 2.2, 3.3), -(-65536 // 3)))
+        traj = integrate(LorenzParams(1.1, 2.2, 3.3), -(-65536 // 3))
         assert interleave(traj, 65536).size == 65536
 
 

@@ -2,7 +2,8 @@
 
 The references are the straightforward formulations the fast code must
 match bit for bit: numpy's stable argsort, the int64 floor/mod formulas
-for the mask and selectors, and a plane-major pipeline built on flatten.
+for the mask and selectors, and a plane-major pipeline built on the
+plane-order reference `flatten` in conftest.
 """
 
 import numpy as np
@@ -10,14 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import flatten, unflatten
 from lftcipher import CipherKey, ImageBuffer, LorenzParams, decrypt, encrypt
 from lftcipher.cipher import (
-    flatten,
     inverse_permute,
     inverse_substitute,
     permute,
     substitute,
-    unflatten,
     xor_mask,
 )
 from lftcipher.lorenz import derive_keystream, keystream

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lftcipher.gf2n import field
-from lftcipher.golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX, golden_assets
+from lftcipher.golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
 from lftcipher.sbox import (
     DegenerateLftError,
     LftParams,
@@ -262,14 +262,12 @@ class TestTextFormat:
 
 class TestGoldenAssets:
     def test_shapes(self):
-        polys, ref = golden_assets()
-        assert len(polys) == 16
-        assert len(ref) == 256
+        assert len(PRIMITIVE_POLY_MASKS) == 16
+        assert len(REFERENCE_SBOX) == 256
 
     def test_reference_corners(self):
-        _, ref = golden_assets()
-        assert ref[0] == 237
-        assert ref[16 + 15] == 1  # row 1, column 15
+        assert REFERENCE_SBOX[0] == 237
+        assert REFERENCE_SBOX[16 + 15] == 1  # row 1, column 15
 
     def test_reference_audit_summary(self):
         ra = reference_audit()

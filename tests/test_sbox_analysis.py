@@ -4,15 +4,14 @@ import pytest
 from lftcipher.gf2n import field
 from lftcipher.sbox import SBoxValidationError, load_external_sbox
 from lftcipher.sbox_analysis import (
+    _spectra,
     analyze,
     bic,
     difference_distribution_table,
     differential_probability,
-    fwht,
     linear_probability,
     nonlinearity,
     sac_matrix,
-    walsh_spectrum,
 )
 
 IDENTITY = bytes(range(256))
@@ -23,7 +22,7 @@ def parity(v: int) -> int:
 
 
 def direct_walsh(f, a: int) -> int:
-    """O(2^n) definition-level Walsh sum, independent of the fwht path."""
+    """O(2^n) definition-level Walsh sum, independent of the matrix product."""
     return sum((-1) ** (f[x] ^ parity(a & x)) for x in range(256))
 
 
@@ -49,24 +48,30 @@ def random_bijection(rng) -> bytes:
 
 
 class TestWalshMachinery:
-    def test_fwht_matches_direct_sum(self):
+    def test_spectra_match_direct_sum(self, family):
         rng = np.random.default_rng(4)
-        f = rng.integers(0, 2, 256)
-        w = walsh_spectrum(f)
-        for a in (0, 1, 5, 77, 128, 255):
-            assert w[a] == direct_walsh(f.tolist(), a)
+        for t in (family[3].table, random_bijection(rng), IDENTITY):
+            table = np.frombuffer(t, dtype=np.uint8).astype(np.int64)
+            w = _spectra(table)
+            for gy in range(256):
+                f = [parity(gy & v) for v in table.tolist()]
+                for gx in (0, 1, 5, 77, 128, 255, gy):
+                    assert w[gy, gx] == direct_walsh(f, gx)
+            assert np.array_equal((256 + w.T) // 2, direct_count_lat(table))
+            assert np.array_equal(_spectra(table, (3, 200)), w[[3, 200]])
 
     def test_parseval_per_coordinate(self, family):
         for box in family[:4]:
-            t = np.frombuffer(box.table, dtype=np.uint8)
+            w = _spectra(np.frombuffer(box.table, dtype=np.uint8).astype(np.int64))
             for bit in range(8):
-                w = walsh_spectrum(t >> bit & 1)
-                assert int((w.astype(np.int64) ** 2).sum()) == 1 << 16
+                assert int((w[1 << bit] ** 2).sum()) == 1 << 16
 
-    def test_fwht_constant_function(self):
-        w = walsh_spectrum(np.zeros(256, dtype=np.int64))
-        assert w[0] == 256
-        assert np.all(w[1:] == 0)
+    def test_spectra_constant_function(self):
+        # output mask 0 gives the constant function 0, for any table
+        rng = np.random.default_rng(9)
+        w = _spectra(rng.integers(0, 256, 256))
+        assert w[0, 0] == 256
+        assert np.all(w[0, 1:] == 0)
 
 
 class TestNonlinearity:
@@ -109,6 +114,14 @@ class TestSac:
             _, mean = sac_matrix(box)
             assert 0.45 <= mean <= 0.55
 
+    def test_matches_per_cell_count(self, family):
+        rng = np.random.default_rng(10)
+        for t in (family[1].table, random_bijection(rng), inversion_box()):
+            m, _ = sac_matrix(t)
+            for i in range(8):
+                d = [t[x] ^ t[x ^ 1 << i] for x in range(256)]
+                assert m[i].tolist() == [sum(v >> j & 1 for v in d) / 256 for j in range(8)]
+
 
 class TestBic:
     def test_identity_is_linear(self):
@@ -119,12 +132,16 @@ class TestBic:
         inv = inversion_box()
         bic_nl, bic_sac = bic(inv)
         oracle_nls = []
+        oracle_sacs = []
         for j in range(8):
             for k in range(j + 1, 8):
                 g = [(inv[x] >> j ^ inv[x] >> k) & 1 for x in range(256)]
                 max_abs = max(abs(direct_walsh(g, a)) for a in range(256))
                 oracle_nls.append(128 - max_abs // 2)
+                for i in range(8):
+                    oracle_sacs.append(sum(g[x] ^ g[x ^ 1 << i] for x in range(256)) / 256)
         assert bic_nl == pytest.approx(np.mean(oracle_nls))
+        assert bic_sac == np.mean(oracle_sacs)
         assert 0.45 <= bic_sac <= 0.55
 
 
