@@ -19,7 +19,7 @@ from .sbox_analysis import differential_probability, linear_probability
 
 PGL_ORDER = 16776960  # invertible fractional transforms over GF(2^8), up to scale
 
-_COUNT_CHUNK = 1 << 16  # elements per bincount call: a 512 KB intp copy at most
+_COUNT_CHUNK = 1 << 16  # elements per bincount call: a 512 KB intp buffer at most
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,16 @@ def adjacency_correlation(
 def _histogram(values: np.ndarray, size: int) -> np.ndarray:
     """Counts of each value in 0..size-1 of a 1-D unsigned integer array.
 
-    np.bincount converts its input to intp, so it is fed fixed-size chunks
-    rather than the whole array.
+    np.bincount converts its input to intp, so it is fed fixed-size chunks,
+    each copied into one reused intp buffer, rather than the whole array.
     """
     counts = np.zeros(size, dtype=np.int64)
+    buf = np.empty(min(values.size, _COUNT_CHUNK), dtype=np.intp)
     for start in range(0, values.size, _COUNT_CHUNK):
-        counts += np.bincount(values[start : start + _COUNT_CHUNK], minlength=size)
+        chunk = values[start : start + _COUNT_CHUNK]
+        part = buf[: chunk.size]
+        np.copyto(part, chunk)
+        counts += np.bincount(part, minlength=size)
     return counts
 
 

@@ -8,6 +8,7 @@ flips.  A full report on one box runs in well under a second.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,24 @@ _PAIR_MASKS = tuple(
 )
 _BYTES = np.arange(256, dtype=np.uint8)
 _FLIPS = _BYTES ^ np.array(_COORD_MASKS, dtype=np.uint8)[:, None]  # x with bit i flipped
-# the 256x256 Sylvester-Hadamard matrix, _H[i, j] = (-1)^parity(i & j)
-_H = np.where(_PARITY[np.bitwise_and.outer(_BYTES, _BYTES)], np.float32(-1), np.float32(1))
+_ROW_BASE = np.arange(0, 256 * 256, 256)[:, None]  # dx * 256, the DDT row offsets
+
+
+@functools.cache
+def _hadamard() -> np.ndarray:
+    """The 256x256 Sylvester-Hadamard matrix, H[i, j] = (-1)^parity(i & j),
+    built on first use so that processes that never analyse a box skip it."""
+    h = np.where(_PARITY[np.bitwise_and.outer(_BYTES, _BYTES)], np.float32(-1), np.float32(1))
+    h.flags.writeable = False
+    return h
+
+
+@functools.cache
+def _xor_index() -> np.ndarray:
+    """idx[dx, x] = dx ^ x as uint8, the gather index of every DDT row."""
+    idx = _BYTES[:, None] ^ _BYTES
+    idx.flags.writeable = False
+    return idx
 
 
 def _as_table(s) -> np.ndarray:
@@ -36,19 +53,39 @@ def _as_table(s) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
-def _spectra(table: np.ndarray, masks=_BYTES) -> np.ndarray:
-    """Walsh spectra of the output masks Gy in `masks`, one row each: entry
-    (row, Gx) is the sum over x of (-1)^(parity(Gy & s(x)) + parity(Gx & x)).
+@functools.lru_cache(maxsize=16)  # the boxes of one family
+def _found(key: bytes) -> dict:
+    """The LP and DP results measured so far for the table with bytes `key`."""
+    return {}
 
-    One float32 matrix product, exact because every partial sum is an
+
+def _measured(s, criterion: str, kernel):
+    """kernel(table) for the validated table of s, computed once per table
+    while it stays among the 16 most recently measured ones."""
+    table = _as_table(s)
+    found = _found(table.astype(np.uint8).tobytes())
+    if criterion not in found:
+        found[criterion] = kernel(table)
+    return found[criterion]
+
+
+def _spectra(table: np.ndarray, masks=None) -> np.ndarray:
+    """Walsh spectra of the output masks Gy in `masks` (all 256 when None),
+    one row each: entry (row, Gx) is the sum over x of
+    (-1)^(parity(Gy & s(x)) + parity(Gx & x)).
+
+    The rows of H for the masks, their columns gathered by the table, times
+    H: one float32 matrix product, exact because every partial sum is an
     integer of magnitude at most 256.
     """
-    return (_H[np.ix_(masks, table)] @ _H).astype(np.int64)
+    h = _hadamard()
+    rows = h if masks is None else np.take(h, masks, axis=0)
+    return np.take(rows, table, axis=1) @ h
 
 
 def _nonlinearities(w: np.ndarray) -> np.ndarray:
     """2^7 - max|W|/2 for each spectrum row of w."""
-    return 128 - np.abs(w).max(axis=1) // 2
+    return 128 - np.abs(w).max(axis=1).astype(np.int64) // 2
 
 
 def nonlinearity(s) -> tuple[list[int], float]:
@@ -75,30 +112,42 @@ def bic(s) -> tuple[float, float]:
     return float(np.mean(nls)), float(sacs.mean())
 
 
+def _linear_probability(table: np.ndarray) -> tuple[int, float]:
+    w = _spectra(table)[1:, 1:]  # drop Gy = 0 and Gx = 0
+    hi, lo = int(w.max()), int(w.min())
+    return (256 + hi) // 2, max(hi, -lo) / 512
+
+
 def linear_probability(s) -> tuple[int, float]:
     """Max match count over nonzero mask pairs and max bias |count/256 - 1/2|.
 
     count(Gx, Gy) = #{x : parity(x & Gx) = parity(s(x) & Gy)}, recovered
-    from the Walsh spectrum as (256 + W_Gy(Gx)) / 2.
+    from the Walsh spectrum as (256 + W_Gy(Gx)) / 2.  Measured once per
+    table while it is among the 16 most recently measured.
     """
-    w = _spectra(_as_table(s))[1:, 1:]  # drop Gy = 0 and Gx = 0
-    max_count = int((256 + w.max()) // 2)
-    max_bias = float(np.abs(w).max() / 512)
-    return max_count, max_bias
+    return _measured(s, "lp", _linear_probability)
+
+
+def _ddt(table: np.ndarray) -> np.ndarray:
+    keys = np.take(table, _xor_index())  # keys[dx, x] = s(x + dx)
+    keys ^= table  # dy = s(x) + s(x + dx)
+    keys |= _ROW_BASE  # dx * 256 + dy
+    return np.bincount(keys.ravel(), minlength=256 * 256).reshape(256, 256)
 
 
 def difference_distribution_table(s) -> np.ndarray:
     """Full 256x256 DDT; row dx, column dy, entries count inputs."""
-    table = _as_table(s)
-    xs = np.arange(256)
-    dx = xs[:, None]
-    dy = table ^ table[dx ^ xs]  # dy[dx, x] = s(x) + s(x + dx)
-    return np.bincount((dx * 256 + dy).ravel(), minlength=256 * 256).reshape(256, 256)
+    return _ddt(_as_table(s))
+
+
+def _differential_probability(table: np.ndarray) -> float:
+    return int(_ddt(table)[1:].max()) / 256
 
 
 def differential_probability(s) -> float:
-    """Max over dx != 0 and all dy of #{x : s(x)+s(x+dx) = dy} / 256."""
-    return int(difference_distribution_table(s)[1:].max()) / 256
+    """Max over dx != 0 and all dy of #{x : s(x)+s(x+dx) = dy} / 256.
+    Measured once per table while it is among the 16 most recently measured."""
+    return _measured(s, "dp", _differential_probability)
 
 
 @dataclass(frozen=True)

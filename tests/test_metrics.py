@@ -4,8 +4,10 @@ import pytest
 from conftest import make_natural_image
 from lftcipher import ImageBuffer
 from lftcipher.metrics import (
+    _COUNT_CHUNK,
     AvalancheReport,
     TooFewPairsError,
+    _histogram,
     adjacency_correlation,
     chi_square_uniform,
     cryptanalysis_report,
@@ -197,6 +199,13 @@ class TestNoiseExperiment:
             noise_experiment(natural_image, test_key, 65537)
         with pytest.raises(ValueError):
             noise_experiment(natural_image, test_key, -1)
+
+
+@pytest.mark.parametrize("n", [0, 1, _COUNT_CHUNK, 2 * _COUNT_CHUNK + 3])
+@pytest.mark.parametrize("dtype, size", [(np.uint8, 256), (np.uint16, 256 * 256)])
+def test_histogram_matches_bincount_across_chunks(n, dtype, size):
+    values = np.random.default_rng(n).integers(0, size, n).astype(dtype)
+    assert np.array_equal(_histogram(values, size), np.bincount(values, minlength=size))
 
 
 class TestChiSquare:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lftcipher import sbox_analysis
 from lftcipher.gf2n import field
+from lftcipher.metrics import cryptanalysis_report
 from lftcipher.sbox import SBoxValidationError, load_external_sbox
 from lftcipher.sbox_analysis import (
     _spectra,
@@ -34,6 +38,12 @@ def direct_count_lat(table: np.ndarray) -> np.ndarray:
     s_out = 1 - 2 * par8[np.bitwise_and.outer(masks, table)]  # (Gy, x)
     agree = (256 + s_in @ s_out.T) // 2  # (Gx, Gy)
     return agree
+
+
+def per_dx_ddt(vals: np.ndarray) -> np.ndarray:
+    """DDT built one input difference at a time."""
+    xs = np.arange(256)
+    return np.array([np.bincount(vals ^ vals[xs ^ dx], minlength=256) for dx in range(256)])
 
 
 def inversion_box() -> bytes:
@@ -205,11 +215,7 @@ class TestDifferentialProbability:
         rng = np.random.default_rng(3)
         for t in (family[2].table, random_bijection(rng), IDENTITY):
             vals = np.frombuffer(t, dtype=np.uint8).astype(np.int64)
-            xs = np.arange(256)
-            expected = np.array(
-                [np.bincount(vals ^ vals[xs ^ dx], minlength=256) for dx in range(256)]
-            )
-            assert np.array_equal(difference_distribution_table(t), expected)
+            assert np.array_equal(difference_distribution_table(t), per_dx_ddt(vals))
 
     def test_inverse_box_has_same_dp(self, family):
         rng = np.random.default_rng(7)
@@ -221,6 +227,64 @@ class TestDifferentialProbability:
     def test_family_values(self, family):
         for box in family:
             assert differential_probability(box) == 4 / 256
+
+
+@settings(max_examples=25)
+@given(st.permutations(range(256)))
+def test_lp_and_dp_match_oracles_on_random_bijections(perm):
+    vals = np.array(perm, dtype=np.int64)
+    counts = direct_count_lat(vals)[1:, 1:]
+    assert linear_probability(perm) == (
+        int(counts.max()), float(np.abs(counts / 256 - 0.5).max()))
+    assert differential_probability(perm) == per_dx_ddt(vals)[1:].max() / 256
+
+
+class TestSharedResult:
+    """LP and DP are measured once per table and shared by later callers."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        sbox_analysis._found.cache_clear()
+        calls = {"lp": [], "dp": []}
+        for name, attr in (("lp", "_linear_probability"), ("dp", "_differential_probability")):
+            def counted(table, name=name, kernel=getattr(sbox_analysis, attr)):
+                calls[name].append(table.astype(np.uint8).tobytes())
+                return kernel(table)
+            monkeypatch.setattr(sbox_analysis, attr, counted)
+        yield calls
+        sbox_analysis._found.cache_clear()
+
+    def test_analyze_then_report_measures_each_box_once(self, family, kernel_calls):
+        reports = [analyze(box) for box in family]
+        text = cryptanalysis_report(family)
+        tables = [box.table for box in family]
+        assert kernel_calls == {"lp": tables, "dp": tables}
+        assert all((r.lp_count, r.lp_bias, r.dp) == (144, 0.0625, 4 / 256) for r in reports)
+        assert "2^-4.00" in text and "2^-6.00" in text
+
+    def test_equal_tables_from_different_objects_hit(self, family, kernel_calls):
+        box = family[4]
+        for s in (box, bytes(box.table), list(box.table),
+                  np.frombuffer(box.table, dtype=np.uint8), load_external_sbox(box.table)):
+            assert linear_probability(s) == (144, 0.0625)
+            assert differential_probability(s) == 4 / 256
+        assert kernel_calls == {"lp": [box.table], "dp": [box.table]}
+
+    def test_invalid_table_raises_before_lookup(self, kernel_calls):
+        before = sbox_analysis._found.cache_info()
+        for fn in (linear_probability, differential_probability):
+            with pytest.raises(SBoxValidationError):
+                fn([0] * 256)
+        assert sbox_analysis._found.cache_info() == before
+        assert kernel_calls == {"lp": [], "dp": []}
+
+    def test_memo_holds_one_family(self, family, kernel_calls):
+        rng = np.random.default_rng(11)
+        for t in [box.table for box in family] + [random_bijection(rng)]:
+            differential_probability(t)
+        assert sbox_analysis._found.cache_info().currsize == 16
+        differential_probability(family[0])  # the oldest entry was evicted
+        assert len(kernel_calls["dp"]) == 18
 
 
 class TestAnalyze:
