@@ -9,7 +9,6 @@ from .keyfile import KeyFile, parse_key_file, parse_key_text
 from .lorenz import Keystream, LorenzParams, keystream
 from .netpbm import read_image, read_raw, write_image
 from .sbox import LftParams, LftSBox, build_family, build_sbox, invert_sbox, load_external_sbox
-from .sbox_analysis import StrengthReport, analyze
 
 __version__ = "0.1.0"
 
@@ -42,3 +41,14 @@ __all__ = [
     "read_raw",
     "write_image",
 ]
+
+_ANALYSIS = ("StrengthReport", "analyze")  # from sbox_analysis, imported on first use
+
+
+def __getattr__(name: str):
+    # the cipher path never loads the analysis modules
+    if name in _ANALYSIS:
+        from . import sbox_analysis
+
+        return getattr(sbox_analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import golden, lorenz, metrics, netpbm, polyfind, sbox, sbox_analysis
+from . import golden, lorenz, netpbm, sbox
 from .cipher import ImageBuffer, decrypt, encrypt
 from .gf2n import GeneratorSpanError
 from .keyfile import KeyFileError, parse_key_file
 from .lorenz import IntegrationError
 from .netpbm import ImageFormatError
 from .sbox import DegenerateLftError, SBoxFormatError, SBoxValidationError
+
+_DUMP_BLOCK = 1 << 16  # keystream rows formatted per write: bounds the text held at once
 
 _ERROR_CODES: tuple[tuple[type, str], ...] = (
     (KeyFileError, "keyfile"),
@@ -71,16 +73,22 @@ def _read_input_image(path: str, raw: str | None) -> ImageBuffer:
 
 
 def _dump_keystream(ks: lorenz.Keystream, out) -> None:
-    out.write(f"length={len(ks)}\n")
+    n = len(ks)
+    out.write(f"length={n}\n")
     out.write("i\tk\tperm\tmask\tselector\n")
-    for i in range(len(ks)):
-        out.write(
-            f"{i}\t{float(ks.k[i])!r}\t{int(ks.perm[i])}\t"
-            f"{int(ks.mask[i])}\t{int(ks.selectors[i])}\n"
-        )
+    for start in range(0, n, _DUMP_BLOCK):
+        block = slice(start, start + _DUMP_BLOCK)
+        columns = (ks.k[block].tolist(), ks.perm[block].tolist(),
+                   ks.mask[block].tolist(), ks.selectors[block].tolist())
+        out.write("".join(
+            f"{i}\t{k!r}\t{p}\t{m}\t{s}\n"
+            for i, k, p, m, s in zip(range(start, n), *columns)
+        ))
 
 
 def cmd_enumerate_polys(args) -> int:
+    from . import polyfind
+
     rows = polyfind.enumerate_classified(args.degree)
     for r in rows:
         if args.primitive_only and not r.primitive:
@@ -121,6 +129,8 @@ def _load_sbox_file(path: str) -> sbox.LftSBox:
 
 
 def cmd_analyze_sbox(args) -> int:
+    from . import sbox_analysis
+
     box = _load_sbox_file(args.infile)
     report = sbox_analysis.analyze(box)
     print(report.as_text())
@@ -143,6 +153,8 @@ def cmd_cipher(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from . import metrics
+
     img = _read_input_image(args.infile, args.raw)
     sampled = {}
     if args.sample_pairs is not None:
@@ -171,6 +183,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_attack_sim(args) -> int:
+    from . import metrics
+
     key = parse_key_file(args.key).to_cipher_key()
     img = _read_input_image(args.infile, args.raw)
     report = metrics.noise_experiment(img, key, args.corrupt)

@@ -12,9 +12,11 @@ so specs and elements may be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 NEG_INF_DEGREE = float("-inf")  # degree of the zero polynomial
 
@@ -70,11 +72,6 @@ def poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, poly_mod(a, b)
     return a
-
-
-def poly_mulmod(a: int, b: int, m: int) -> int:
-    """Product of a and b reduced modulo m."""
-    return poly_mod(poly_mul(a, b), m)
 
 
 _MONOMIAL = re.compile(r"^(?:1|x|x\^(\d+))$")
@@ -181,29 +178,130 @@ def is_irreducible_trial(f: BinaryPoly | int) -> bool:
     return all(poly_mod(bits, g) for g in range(2, 1 << (n // 2 + 1)))
 
 
-def order_of_x(bits: int) -> int | None:
-    """Multiplicative order of x modulo an irreducible polynomial; None for
-    f = x itself, where x reduces to 0.
+# ---------------------------------------------------------------------------
+# array arithmetic modulo a batch of polynomials of one degree n <= 16
+# ---------------------------------------------------------------------------
+# One column per modulus f.  Residues have degree < n, so products have
+# degree <= 2n - 2 <= 30 and uint32 holds every value.
+
+@functools.cache
+def _spread() -> np.ndarray:
+    """Each byte with bit k moved to bit 2k: its carry-less square."""
+    b = np.arange(256, dtype=np.uint32)
+    out = np.zeros(256, dtype=np.uint32)
+    for k in range(8):
+        out |= (b >> k & 1) << 2 * k
+    return out
+
+
+def _moduli(fs, n: int) -> np.ndarray:
+    """Rows f << k, k < max(n - 1, 1), of the degree-n moduli fs: every
+    multiple of f that reducing a product subtracts."""
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}, got {n}")
+    shifts = np.arange(max(n - 1, 1), dtype=np.uint32)[:, None]
+    return np.asarray(fs, dtype=np.uint32) << shifts
+
+
+def _reduce(r: np.ndarray, mods: np.ndarray, n: int, top: int) -> np.ndarray:
+    """r mod f in place, for r of degree at most top: clear bits top..n."""
+    t = np.empty_like(r)
+    for d in range(top, n - 1, -1):
+        np.right_shift(r, d, out=t)
+        t &= 1
+        t *= mods[d - n]
+        r ^= t
+    return r
+
+
+def _sqrmod(a: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
+    spread = _spread()
+    r = spread[a & 0xFF]
+    if n > 8:
+        r |= spread[a >> 8] << 16
+    return _reduce(r, mods, n, 2 * n - 2)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
+    r = np.zeros_like(a)
+    t = np.empty_like(a)
+    for k in range(n):
+        np.right_shift(b, k, out=t)
+        t &= 1
+        t *= a << k
+        r ^= t
+    return _reduce(r, mods, n, 2 * n - 2)
+
+
+def _x_chain(mods: np.ndarray, n: int) -> np.ndarray:
+    """Row k holds x^(2^k) mod f, for k = 0..n: n squarings from x."""
+    chain = np.empty((n + 1, mods.shape[1]), dtype=np.uint32)
+    chain[0] = _reduce(np.full(mods.shape[1], 2, dtype=np.uint32), mods, n, 1)
+    for k in range(n):
+        chain[k + 1] = _sqrmod(chain[k], mods, n)
+    return chain
+
+
+def _strip_x(a: np.ndarray) -> np.ndarray:
+    """a with every factor x divided out; 0 stays 0."""
+    return a // np.maximum(a & (~a + 1), 1)
+
+
+def _coprime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether gcd(a, b) = 1, by the binary Euclid algorithm.
+
+    x divides both when both constant terms are 0.  Otherwise x is divided
+    out of both, and the larger of two odd values is replaced by their sum,
+    x divided out, until one side is 0; the other is then the gcd.
+    """
+    coprime = ((a | b) & 1) == 1
+    a, b = _strip_x(a), _strip_x(b)
+    while (live := b != 0).any():
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        a = np.where(live, lo, a)
+        b = np.where(live, _strip_x(hi ^ lo), 0)
+    return coprime & (a == 1)
+
+
+def _x_power(e: np.ndarray, chain: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
+    """x^e mod f for exponents 0 < e < 2^n: the product of chain[k] over
+    the set bits k of e."""
+    power = None
+    for k in range(n):
+        bit = e >> k & 1
+        if not bit.any():
+            continue
+        factor = chain[k] if bit.all() else np.where(bit, chain[k], 1)
+        power = factor if power is None else _mulmod(power, factor, mods, n)
+    return power
+
+
+def _orders(chain: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
+    """Multiplicative order of x modulo each f; 0 where x reduces to 0.
 
     The order divides 2^n - 1, so start from o = 2^n - 1 and, for each prime
     p of it, divide o by p while x^(o/p) = 1 (Lidl & Niederreiter, Finite
-    Fields, ch. 3); powers are taken by square-and-multiply.
+    Fields, ch. 3).
     """
-    if poly_mod(2, bits) == 0:
-        return None
-    order = (1 << (bits.bit_length() - 1)) - 1
-    for p in _prime_factors(order):
-        while order % p == 0:
-            power, base, e = 1, 2, order // p
-            while e:
-                if e & 1:
-                    power = poly_mulmod(power, base, bits)
-                base = poly_mulmod(base, base, bits)
-                e >>= 1
-            if power != 1:
-                break
-            order //= p
+    order = np.full(mods.shape[1], (1 << n) - 1, dtype=np.uint32)
+    for p in _prime_factors((1 << n) - 1):
+        cols = np.arange(order.size)
+        while cols.size:
+            e = order[cols] // p
+            one = _x_power(e, chain[:, cols], mods[:, cols], n) == 1
+            cols = cols[one]
+            order[cols] = e[one]
+            cols = cols[order[cols] % p == 0]
+    order[chain[0] == 0] = 0
     return order
+
+
+def order_of_x(bits: int) -> int | None:
+    """Multiplicative order of x modulo an irreducible polynomial of degree
+    1..16; None for f = x itself, where x reduces to 0."""
+    n = bits.bit_length() - 1
+    mods = _moduli([bits], n)
+    return int(_orders(_x_chain(mods, n), mods, n)[0]) or None
 
 
 class FieldSpec:
@@ -228,12 +326,12 @@ class FieldSpec:
         self.reduction = red
         self.n = n
         self.order = 1 << n
-        self.generator_order = order_of_x(red.bits)
-        self.is_primitive = self.generator_order == self.order - 1
         self.log_table: list[int | None] | None = None
         self.antilog_table: list[int] | None = None
-        if self.is_primitive:
-            build_log_tables(self)
+        try:
+            build_log_tables(self)  # sets generator_order and is_primitive
+        except GeneratorSpanError:
+            pass  # x spans a proper subgroup: no tables, mul() falls back to mul_naive
 
     # -- representation / identity ------------------------------------------
 
@@ -352,34 +450,36 @@ class FieldSpec:
 def build_log_tables(spec: FieldSpec) -> FieldSpec:
     """Populate spec's log/antilog tables by iterating powers of alpha = x.
 
+    The walk stops at the first return to 1, which sets
+    spec.generator_order (None when x reduces to 0) and spec.is_primitive.
     Raises GeneratorSpanError when the reduction polynomial is not
     primitive, since the powers of x then cycle before covering all
     nonzero elements.
     """
+    red = spec.reduction.bits
+    antilog = [1]
+    v = poly_mod(2, red)
+    while v > 1:
+        antilog.append(v)
+        v <<= 1
+        if v & spec.order:
+            v ^= red
+    spec.generator_order = len(antilog) if v == 1 else None
+    spec.is_primitive = spec.generator_order == spec.order - 1
     if not spec.is_primitive:
         raise GeneratorSpanError(
             f"generator does not span: x has order {spec.generator_order}, "
             f"need {spec.order - 1} under {spec.reduction.monomials()}"
         )
-    m = spec.order - 1
-    x = poly_mod(2, spec.reduction.bits)
-    antilog = [0] * m
     log: list[int | None] = [None] * spec.order
-    v = 1
-    for k in range(m):
-        antilog[k] = v
+    for k, v in enumerate(antilog):
         log[v] = k
-        v = spec.mul_naive(v, x)
-    if v != 1:  # period must be exactly 2^n - 1
-        raise GeneratorSpanError(
-            f"generator does not span under {spec.reduction.monomials()}"
-        )
     spec.antilog_table = antilog
     spec.log_table = log
     return spec
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def field(reduction: int) -> FieldSpec:
     """Shared FieldSpec for a reduction bitmask; specs are immutable."""
     return FieldSpec(reduction)

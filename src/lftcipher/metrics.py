@@ -8,6 +8,7 @@ default.  Multi-channel images pool pairs/bytes across channel planes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,13 +48,9 @@ class GlcmFeatures(NamedTuple):
     energy: float
 
 
-def _planes(img: ImageBuffer):
-    arr = img.to_array()
-    if img.channels == 1:
-        yield arr
-    else:
-        for ch in range(img.channels):
-            yield arr[:, :, ch]
+def _sums(x: np.ndarray) -> tuple[int, int]:
+    """Exact sum and sum of squares of a uint8 array."""
+    return int(x.sum(dtype=np.int64)), int(np.square(x, dtype=np.uint16).sum(dtype=np.int64))
 
 
 def adjacency_correlation(
@@ -73,32 +70,31 @@ def adjacency_correlation(
         raise ValueError(f"direction must be horizontal or vertical, got {direction!r}")
     if sample_pairs is not None and sample_pairs < 1:
         raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
-    pairs = []
-    for plane in _planes(img):
-        if direction == "horizontal":
-            if plane.shape[1] < 2:
-                raise TooFewPairsError("image too narrow for horizontal pairs")
-            pairs.append((plane[:, :-1], plane[:, 1:]))
-        else:
-            if plane.shape[0] < 2:
-                raise TooFewPairsError("image too short for vertical pairs")
-            pairs.append((plane[:-1, :], plane[1:, :]))
-    if sample_pairs is not None:
-        a = np.concatenate([a.ravel() for a, _ in pairs])
-        b = np.concatenate([b.ravel() for _, b in pairs])
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, a.size, size=sample_pairs)
-        pairs = [(a[idx], b[idx])]
+    arr = img.to_array()  # (height, width) or (height, width, channels)
+    if direction == "horizontal":
+        if arr.shape[1] < 2:
+            raise TooFewPairsError("image too narrow for horizontal pairs")
+        a, b, first, last = arr[:, :-1], arr[:, 1:], arr[:, 0], arr[:, -1]
+    else:
+        if arr.shape[0] < 2:
+            raise TooFewPairsError("image too short for vertical pairs")
+        a, b, first, last = arr[:-1], arr[1:], arr[0], arr[-1]
     # exact integer moments over uint8 views: no float copy of the population,
     # and n * sum(a*a) - sum(a)**2 is exactly zero only for a constant side
-    n = sa = sb = saa = sbb = sab = 0
-    for a, b in pairs:
-        n += a.size
-        sa += int(a.sum(dtype=np.int64))
-        sb += int(b.sum(dtype=np.int64))
-        saa += int(np.square(a, dtype=np.uint16).sum(dtype=np.int64))
-        sbb += int(np.square(b, dtype=np.uint16).sum(dtype=np.int64))
-        sab += int(np.multiply(a, b, dtype=np.uint16).sum(dtype=np.int64))
+    if sample_pairs is not None:
+        if arr.ndim == 3:  # pool the planes one after another
+            a, b = np.moveaxis(a, 2, 0), np.moveaxis(b, 2, 0)
+        idx = np.random.default_rng(seed).integers(0, a.size, size=sample_pairs)
+        a, b = a.ravel()[idx], b.ravel()[idx]
+        (sa, saa), (sb, sbb) = _sums(a), _sums(b)
+    else:
+        # a is the whole image but its last column (or row), b all but its first
+        total, total_sq = _sums(arr)
+        (s_first, sq_first), (s_last, sq_last) = _sums(first), _sums(last)
+        sa, saa = total - s_last, total_sq - sq_last
+        sb, sbb = total - s_first, total_sq - sq_first
+    n = a.size
+    sab = int(np.multiply(a, b, dtype=np.uint16).sum(dtype=np.int64))
     var_a = n * saa - sa * sa
     var_b = n * sbb - sb * sb
     if var_a == 0 or var_b == 0:
@@ -134,32 +130,32 @@ def glcm(img: ImageBuffer, offset: tuple[int, int] = (0, 1)) -> np.ndarray:
     dr, dc = offset
     if dr == 0 and dc == 0:
         raise ValueError("offset must be nonzero")
-    counts = np.zeros(256 * 256, dtype=np.int64)
-    total = 0
-    for plane in _planes(img):
-        h, w = plane.shape
-        r0, r1 = max(0, -dr), min(h, h - dr)
-        c0, c1 = max(0, -dc), min(w, w - dc)
-        if r1 <= r0 or c1 <= c0:
-            raise ValueError(f"image too small for GLCM offset ({dr},{dc})")
-        pair = plane[r0:r1, c0:c1].astype(np.uint16)  # first << 8 | second
-        pair <<= 8
-        pair |= plane[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-        counts += _histogram(pair.ravel(), 256 * 256)
-        total += pair.size
-    return (counts / total).reshape(256, 256)
+    arr = img.to_array()  # every channel plane is paired at once
+    h, w = arr.shape[:2]
+    r0, r1 = max(0, -dr), min(h, h - dr)
+    c0, c1 = max(0, -dc), min(w, w - dc)
+    if r1 <= r0 or c1 <= c0:
+        raise ValueError(f"image too small for GLCM offset ({dr},{dc})")
+    pair = arr[r0:r1, c0:c1].astype(np.uint16)  # first << 8 | second
+    pair <<= 8
+    pair |= arr[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    return (_histogram(pair.ravel(), 256 * 256) / pair.size).reshape(256, 256)
+
+
+@functools.cache
+def _glcm_weights() -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell weights of contrast, (i - j)^2, and of homogeneity, 1 / (1 + |i - j|)."""
+    diff = np.abs(np.subtract.outer(np.arange(256.0), np.arange(256.0)))
+    return diff * diff, 1.0 / (1.0 + diff)
 
 
 def glcm_features(img: ImageBuffer, offset: tuple[int, int] = (0, 1)) -> GlcmFeatures:
     """Contrast, homogeneity and energy of the normalized GLCM."""
     p = glcm(img, offset)
-    i, j = np.nonzero(p)
-    v = p[i, j]
-    diff = np.abs(i - j).astype(np.float64)
-    contrast = float((diff**2 * v).sum())
-    homogeneity = float((v / (1.0 + diff)).sum())
-    energy = float((v**2).sum())
-    return GlcmFeatures(contrast, homogeneity, energy)
+    contrast_w, homogeneity_w = _glcm_weights()
+    return GlcmFeatures(
+        float(np.vdot(contrast_w, p)), float(np.vdot(homogeneity_w, p)), float(np.vdot(p, p))
+    )
 
 
 def chi_square_uniform(img: ImageBuffer) -> float:

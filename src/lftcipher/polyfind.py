@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2n import BinaryPoly, _prime_factors, order_of_x, poly_gcd, poly_mod, poly_mulmod
+import numpy as np
+
+from .gf2n import BinaryPoly, _coprime, _moduli, _orders, _prime_factors, _x_chain
 from .gf2n import is_irreducible_trial  # noqa: F401  the reference Rabin is tested against
 
 
@@ -54,8 +56,18 @@ def _totient(n: int) -> int:
     return r
 
 
+def _rabin(mods: np.ndarray, chain: np.ndarray, n: int) -> np.ndarray:
+    """Rabin's test on each modulus f = mods[0], given its chain x^(2^k) mod f."""
+    x = chain[0]
+    irreducible = chain[n] == x
+    for p in _prime_factors(n):
+        cols = np.flatnonzero(irreducible)
+        irreducible[cols] = _coprime(mods[0, cols], chain[n // p, cols] ^ x[cols])
+    return irreducible
+
+
 def is_irreducible_rabin(f: BinaryPoly | int) -> bool:
-    """Rabin's irreducibility test.
+    """Rabin's irreducibility test, for degrees 1..16.
 
     f of degree n is irreducible iff gcd(f, x^(2^(n/p)) - x mod f) = 1 for
     every prime p dividing n, and f divides x^(2^n) - x.  Powers of x are
@@ -63,19 +75,8 @@ def is_irreducible_rabin(f: BinaryPoly | int) -> bool:
     """
     bits = BinaryPoly.parse(f).bits
     n = bits.bit_length() - 1
-    if n < 1:
-        raise ValueError("irreducibility is only defined for degree >= 1")
-    for p in _prime_factors(n):
-        g = poly_mod(2, bits)
-        for _ in range(n // p):
-            g = poly_mulmod(g, g, bits)
-        # g = x^(2^(n/p)) mod f;  subtract x (XOR) and take the gcd
-        if poly_gcd(bits, g ^ poly_mod(2, bits)) != 1:
-            return False
-    g = poly_mod(2, bits)
-    for _ in range(n):
-        g = poly_mulmod(g, g, bits)
-    return g == poly_mod(2, bits)
+    mods = _moduli([bits], n)
+    return bool(_rabin(mods, _x_chain(mods, n), n)[0])
 
 
 def count_irreducible(n: int, p: int = 2) -> int:
@@ -102,18 +103,23 @@ def enumerate_classified(n: int) -> list[PolyClassification]:
 
     Candidates with constant term 0 are omitted for n >= 2 since they are
     divisible by x; for n = 1 the polynomial x itself is included (it is
-    the one irreducible polynomial with constant term 0).
+    the one irreducible polynomial with constant term 0).  All candidates
+    are classified in one batch: one chain of squarings of x serves both
+    Rabin's test and the order of x.
     """
     if not 1 <= n <= 16:
         raise ValueError("degree must be in 1..16")
     if n == 1:
-        candidates = [0b10, 0b11]
+        fs = np.array([0b10, 0b11], dtype=np.uint32)
     else:
-        candidates = [f for f in range(1 << n, 1 << (n + 1)) if f & 1]
-    out = []
-    for bits in candidates:
-        irr = is_irreducible_rabin(bits)
-        order = order_of_x(bits) if irr else None
-        primitive = irr and order == (1 << n) - 1
-        out.append(PolyClassification(BinaryPoly(bits), irr, primitive, order))
-    return out
+        fs = np.arange((1 << n) + 1, 1 << (n + 1), 2, dtype=np.uint32)
+    mods = _moduli(fs, n)
+    chain = _x_chain(mods, n)
+    irreducible = _rabin(mods, chain, n)
+    order = np.zeros_like(fs)
+    order[irreducible] = _orders(chain[:, irreducible], mods[:, irreducible], n)
+    full = (1 << n) - 1
+    return [
+        PolyClassification(BinaryPoly(f), irr, o == full, o or None)
+        for f, irr, o in zip(fs.tolist(), irreducible.tolist(), order.tolist())
+    ]

@@ -31,6 +31,19 @@ def make_natural_image(seed: int, width: int = 256, height: int = 256) -> ImageB
     return ImageBuffer.from_array(np.clip(img, 0, 255).astype(np.uint8))
 
 
+def walk_order_of_x(bits: int) -> int | None:
+    """Step-by-step reference: multiply by x until the power returns to 1."""
+    n = bits.bit_length() - 1
+    power = 1
+    for k in range(1, 1 << n):
+        power <<= 1
+        if power >> n & 1:
+            power ^= bits
+        if power in (0, 1):
+            return k if power else None
+    return None
+
+
 def flatten(img: ImageBuffer) -> np.ndarray:
     """Plane-order reference: row-major 1-D byte vector, 3-channel images as
     concatenated planes, the order in which the cipher treats the pixels."""

@@ -1,6 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lftcipher
 from conftest import make_natural_image
 from lftcipher import lorenz
 from lftcipher.cli import main
@@ -167,6 +174,21 @@ class TestEncryptDecrypt:
         assert err.count("\n") == 1
         assert "latin1.txt" in err
 
+    def test_encrypt_process_skips_analysis_modules(self, tmp_path, keyfile, small_image):
+        code = (
+            "import sys; from lftcipher.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print(' '.join(sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(lftcipher.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "encrypt", "--key", keyfile, "--in", small_image,
+             "--out", str(tmp_path / "ct.pgm")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "lftcipher.cipher" in loaded
+        assert not loaded & {"lftcipher.metrics", "lftcipher.polyfind", "lftcipher.sbox_analysis"}
+
     @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
     def test_emit_keystream_derives_once(self, tmp_path, keyfile, small_image, command,
                                          monkeypatch):
@@ -270,6 +292,18 @@ class TestKeystreamCommand:
         path = tmp_path / "ks.tsv"
         main(["keystream", "--key", keyfile, "--length", "8", "--out", str(path)])
         assert path.read_text() == stdout
+
+    @pytest.mark.parametrize("length, sha", [
+        (1, "a6972660e6e693b239288dd2119572c35ea567c6faca4c9b4161c6773bacdc4d"),
+        (7, "cea3d40496e9765c36807078b99d13e99b07f72519d7e11860e8aeb23bb9ed0f"),
+        (100_003, "0a5e0d55dc1d5c1f3a57199398d271eb9d81268acbcc2a653713baa943a11d4b"),
+    ])
+    def test_dump_text_pinned(self, tmp_path, keyfile, length, sha):
+        # pinned from the one-line-at-a-time dump; 100,003 rows span two blocks
+        path = tmp_path / "ks.tsv"
+        assert main(["keystream", "--key", keyfile, "--length", str(length),
+                     "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
     def test_length_beyond_bound(self, keyfile, capsys, monkeypatch):
         def unreachable(*args):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import walk_order_of_x
 from lftcipher.gf2n import (
     NEG_INF_DEGREE,
     BinaryPoly,
@@ -27,19 +28,6 @@ def oracle_mul(a: int, b: int, reduction: int, n: int) -> int:
         if prod >> deg & 1:
             prod ^= reduction << (deg - n)
     return prod
-
-
-def walk_order_of_x(bits: int) -> int | None:
-    """Step-by-step reference: multiply by x until the power returns to 1."""
-    n = bits.bit_length() - 1
-    power = 1
-    for k in range(1, 1 << n):
-        power <<= 1
-        if power >> n & 1:
-            power ^= bits
-        if power in (0, 1):
-            return k if power else None
-    return None
 
 
 class TestBinaryPoly:
@@ -134,6 +122,13 @@ class TestFieldSpecConstruction:
         assert len(irreducible) == 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30 + 56 + 99 + 186 + 335
         for bits in irreducible:
             assert order_of_x(bits) == walk_order_of_x(bits), hex(bits)
+
+    def test_order_of_x_degree_one_and_bounds(self):
+        assert order_of_x(0b10) is None  # x reduces to 0 modulo x
+        assert order_of_x(0b11) == 1
+        for bits in (1, (1 << 17) | 0b11):
+            with pytest.raises(ValueError):
+                order_of_x(bits)
 
     def test_field_factory_shares_specs(self):
         assert field(0x11D) is field(0x11D)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_natural_image
 from lftcipher import ImageBuffer
@@ -18,6 +22,99 @@ from lftcipher.metrics import (
     noise_experiment,
     npcr_uaci,
 )
+
+
+def planes(img: ImageBuffer) -> list[np.ndarray]:
+    arr = img.to_array()
+    return [arr] if img.channels == 1 else [arr[:, :, ch] for ch in range(img.channels)]
+
+
+def five_sum_correlation(img, direction, sample_pairs=None, seed=None):
+    """Reference: pair views per plane, five separate sums per plane."""
+    if direction == "horizontal":
+        if img.width < 2:
+            raise TooFewPairsError("image too narrow for horizontal pairs")
+        pairs = [(p[:, :-1], p[:, 1:]) for p in planes(img)]
+    else:
+        if img.height < 2:
+            raise TooFewPairsError("image too short for vertical pairs")
+        pairs = [(p[:-1, :], p[1:, :]) for p in planes(img)]
+    if sample_pairs is not None:
+        a = np.concatenate([a.ravel() for a, _ in pairs])
+        b = np.concatenate([b.ravel() for _, b in pairs])
+        idx = np.random.default_rng(seed).integers(0, a.size, size=sample_pairs)
+        pairs = [(a[idx], b[idx])]
+    n = sa = sb = saa = sbb = sab = 0
+    for a, b in pairs:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+        n += a.size
+        sa += int(a.sum())
+        sb += int(b.sum())
+        saa += int((a * a).sum())
+        sbb += int((b * b).sum())
+        sab += int((a * b).sum())
+    var_a = n * saa - sa * sa
+    var_b = n * sbb - sb * sb
+    if var_a == 0 or var_b == 0:
+        return None
+    return (n * sab - sa * sb) / math.sqrt(var_a * var_b)
+
+
+def per_plane_glcm(img: ImageBuffer, offset: tuple[int, int]) -> np.ndarray:
+    """Reference: pair codes counted plane by plane, then pooled."""
+    dr, dc = offset
+    counts = np.zeros(256 * 256, dtype=np.int64)
+    for p in planes(img):
+        h, w = p.shape
+        rows, cols = slice(max(0, -dr), min(h, h - dr)), slice(max(0, -dc), min(w, w - dc))
+        first = p[rows, cols].astype(np.int64)
+        second = p[rows.start + dr : rows.stop + dr, cols.start + dc : cols.stop + dc]
+        counts += np.bincount((first * 256 + second).ravel(), minlength=256 * 256)
+    return (counts / counts.sum()).reshape(256, 256)
+
+
+def gathered_glcm_features(p: np.ndarray) -> tuple[float, float, float]:
+    """Reference: the features summed over the nonzero cells only."""
+    i, j = np.nonzero(p)
+    v = p[i, j]
+    diff = np.abs(i - j).astype(np.float64)
+    return float((diff**2 * v).sum()), float((v / (1.0 + diff)).sum()), float((v**2).sum())
+
+
+@st.composite
+def images(draw):
+    width = draw(st.integers(1, 24))
+    height = draw(st.integers(1, 24))
+    channels = draw(st.sampled_from([1, 3]))
+    size = width * height * channels
+    levels = draw(st.sampled_from([1, 2, 256]))  # constant, two-level or any bytes
+    data = draw(st.lists(st.integers(0, levels - 1), min_size=size, max_size=size))
+    return ImageBuffer(width, height, channels, bytes(v * (255 // max(levels - 1, 1)) for v in data))
+
+
+@given(images(), st.sampled_from(["horizontal", "vertical"]),
+       st.one_of(st.none(), st.integers(1, 50)), st.integers(0, 9))
+def test_correlation_equals_five_sum_reference(img, direction, sample_pairs, seed):
+    try:
+        expected = five_sum_correlation(img, direction, sample_pairs, seed)
+    except TooFewPairsError as exc:
+        with pytest.raises(TooFewPairsError, match=str(exc)):
+            adjacency_correlation(img, direction, sample_pairs, seed)
+        return
+    assert adjacency_correlation(img, direction, sample_pairs, seed) == expected
+
+
+@given(images(), st.sampled_from([(0, 1), (1, 0), (1, 1), (-1, 2)]))
+def test_glcm_features_match_gathered_reference(img, offset):
+    try:
+        p = glcm(img, offset)
+    except ValueError:
+        with pytest.raises(ValueError):
+            glcm_features(img, offset)
+        return
+    assert np.array_equal(p, per_plane_glcm(img, offset))
+    for got, want in zip(glcm_features(img, offset), gathered_glcm_features(p)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def checkerboard(size: int = 256) -> ImageBuffer:

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import walk_order_of_x
 from lftcipher.gf2n import BinaryPoly
 from lftcipher.golden import PRIMITIVE_POLY_MASKS
 from lftcipher.polyfind import (
@@ -35,6 +36,8 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible_rabin(1)
         with pytest.raises(ValueError):
+            is_irreducible_rabin((1 << 17) | 0b11)  # beyond the uint32 batch arithmetic
+        with pytest.raises(ValueError):
             is_irreducible_trial(1)
 
     def test_rabin_equals_trial_exhaustive_to_degree_10(self):
@@ -44,6 +47,7 @@ class TestIrreducibility:
 
     def test_accepts_binarypoly(self):
         assert is_irreducible_rabin(BinaryPoly(0x11D))
+        assert not is_irreducible_rabin(BinaryPoly(0b10101))
 
 
 class TestCounts:
@@ -66,6 +70,24 @@ class TestCounts:
             rows = enumerate_classified(n)
             assert sum(r.irreducible for r in rows) == count_irreducible(n, 2)
             assert sum(r.primitive for r in rows) == count_primitive(n, 2)
+
+
+class TestBatchCensus:
+    def test_matches_trial_division_and_walk_to_degree_12(self):
+        for n in range(1, 13):
+            for r in enumerate_classified(n):
+                bits = r.poly.bits
+                assert r.irreducible == is_irreducible_trial(bits), hex(bits)
+                order = walk_order_of_x(bits) if r.irreducible else None
+                assert r.order == order, hex(bits)
+                assert r.primitive == (order == (1 << n) - 1), hex(bits)
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_counts_at_degrees_13_to_16(self, n):
+        rows = enumerate_classified(n)
+        assert len(rows) == 1 << (n - 1)
+        assert sum(r.irreducible for r in rows) == count_irreducible(n)
+        assert sum(r.primitive for r in rows) == count_primitive(n)
 
 
 class TestEnumeration:
@@ -105,6 +127,7 @@ class TestEnumeration:
         rows = enumerate_classified(1)
         by_bits = {r.poly.bits: r for r in rows}
         assert by_bits[0b10].irreducible and not by_bits[0b10].primitive
+        assert by_bits[0b10].order is None
         assert by_bits[0b11].primitive and by_bits[0b11].order == 1
 
     def test_output_sorted_ascending(self):
