@@ -2,8 +2,9 @@
  * same order, as the Python rk4_step loop.  Build without FMA contraction
  * or fast-math, or the trajectory stops being bit-identical to it.
  *
- * Fills xs/ys/zs with `count` post-burn-in samples and returns 0, or the
- * 1-based step (burn-in steps included) whose state went non-finite. */
+ * Fills out[3t-3..3t-1] with (x, y, z) of post-burn-in sample t = 1..count
+ * and returns 0, or the 1-based step (burn-in steps included) whose state
+ * went non-finite. */
 #include <math.h>
 #include <stdint.h>
 
@@ -11,7 +12,7 @@
     (dx) = a * ((y) - (x)); (dy) = b * (x) - (y) - (x) * (z); (dz) = (x) * (y) - c * (z)
 
 int64_t lft_rk4(double x, double y, double z, double a, double b, double c, double h,
-                int64_t burn_in, int64_t count, int64_t interval, double *xs, double *ys, double *zs)
+                int64_t burn_in, int64_t count, int64_t interval, double *out)
 {
     double k1x, k1y, k1z, k2x, k2y, k2z, k3x, k3y, k3z, k4x, k4y, k4z;
     for (int64_t i = 1; i <= burn_in + count; i++) {
@@ -31,9 +32,9 @@ int64_t lft_rk4(double x, double y, double z, double a, double b, double c, doub
             if (z <= 0) { x += 0.1; y -= 0.2; }
             else { x += 0.2; y -= 0.1; }
         }
-        xs[t - 1] = x;
-        ys[t - 1] = y;
-        zs[t - 1] = z;
+        out[3 * t - 3] = x;
+        out[3 * t - 2] = y;
+        out[3 * t - 1] = z;
     }
     return 0;
 }

@@ -13,7 +13,6 @@ import sys
 
 from . import golden, lorenz, netpbm, sbox
 from .cipher import ImageBuffer, decrypt, encrypt
-from .gf2n import GeneratorSpanError
 from .keyfile import KeyFileError, parse_key_file
 from .lorenz import IntegrationError
 from .netpbm import ImageFormatError
@@ -27,7 +26,6 @@ _ERROR_CODES: tuple[tuple[type, str], ...] = (
     (SBoxFormatError, "sbox-format"),
     (SBoxValidationError, "sbox-invalid"),
     (DegenerateLftError, "degenerate-lft"),
-    (GeneratorSpanError, "generator-span"),
     (IntegrationError, "integration"),
     (FileNotFoundError, "file-not-found"),
     (OSError, "io"),
@@ -155,30 +153,32 @@ def cmd_cipher(args) -> int:
 def cmd_metrics(args) -> int:
     from . import metrics
 
+    offset = tuple(int(p) for p in args.glcm_offset.split(","))
+    if len(offset) != 2:
+        raise ValueError(f"--glcm-offset wants dr,dc, got {args.glcm_offset!r}")
     img = _read_input_image(args.infile, args.raw)
     sampled = {}
     if args.sample_pairs is not None:
         sampled = {"sample_pairs": args.sample_pairs, "seed": args.seed}
+    lines = []  # printed only once every metric has succeeded
     for direction in ("horizontal", "vertical"):
         try:
             r = metrics.adjacency_correlation(img, direction, **sampled)
         except metrics.TooFewPairsError:
             r = None
-        print(f"Corr. ({direction}): {'undefined' if r is None else f'{r:.6f}'}")
-    print(f"Entropy: {metrics.entropy(img):.4f}")
-    offset = tuple(int(p) for p in args.glcm_offset.split(","))
-    if len(offset) != 2:
-        raise ValueError(f"--glcm-offset wants dr,dc, got {args.glcm_offset!r}")
+        lines.append(f"Corr. ({direction}): {'undefined' if r is None else f'{r:.6f}'}")
+    lines.append(f"Entropy: {metrics.entropy(img):.4f}")
     feats = metrics.glcm_features(img, offset)  # type: ignore[arg-type]
-    print(f"Homo.: {feats.homogeneity:.6g}")
-    print(f"Contrast: {feats.contrast:.6g}")
-    print(f"Energy: {feats.energy:.6g}")
-    print(f"Chi-square (255 dof): {metrics.chi_square_uniform(img):.2f}")
+    lines.append(f"Homo.: {feats.homogeneity:.6g}")
+    lines.append(f"Contrast: {feats.contrast:.6g}")
+    lines.append(f"Energy: {feats.energy:.6g}")
+    lines.append(f"Chi-square (255 dof): {metrics.chi_square_uniform(img):.2f}")
     if args.against:
         other = _read_input_image(args.against, args.raw)
         rep = metrics.npcr_uaci(img, other)
-        print(f"NPCR(%): {rep.npcr:.4f}")
-        print(f"UACI(%): {rep.uaci:.4f}")
+        lines.append(f"NPCR(%): {rep.npcr:.4f}")
+        lines.append(f"UACI(%): {rep.uaci:.4f}")
+    print("\n".join(lines))
     return 0
 
 

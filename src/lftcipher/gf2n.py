@@ -197,8 +197,6 @@ def _spread() -> np.ndarray:
 def _moduli(fs, n: int) -> np.ndarray:
     """Rows f << k, k < max(n - 1, 1), of the degree-n moduli fs: every
     multiple of f that reducing a product subtracts."""
-    if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}, got {n}")
     shifts = np.arange(max(n - 1, 1), dtype=np.uint32)[:, None]
     return np.asarray(fs, dtype=np.uint32) << shifts
 
@@ -294,14 +292,6 @@ def _orders(chain: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
             cols = cols[order[cols] % p == 0]
     order[chain[0] == 0] = 0
     return order
-
-
-def order_of_x(bits: int) -> int | None:
-    """Multiplicative order of x modulo an irreducible polynomial of degree
-    1..16; None for f = x itself, where x reduces to 0."""
-    n = bits.bit_length() - 1
-    mods = _moduli([bits], n)
-    return int(_orders(_x_chain(mods, n), mods, n)[0]) or None
 
 
 class FieldSpec:

@@ -77,18 +77,6 @@ class LorenzParams:
 
 
 @dataclass(frozen=True, eq=False)
-class LorenzTrajectory:
-    """Raw or normalized (x, y, z) sample streams."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    zs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-
-@dataclass(frozen=True, eq=False)
 class Keystream:
     """Digested chaotic material: k in [0,1), permutation, mask, selectors."""
 
@@ -198,7 +186,7 @@ def _load_kernel():
         return None
     kernel.restype = ctypes.c_int64
     kernel.argtypes = (
-        [ctypes.c_double] * 7 + [ctypes.c_int64] * 3 + [ctypes.POINTER(ctypes.c_double)] * 3
+        [ctypes.c_double] * 7 + [ctypes.c_int64] * 3 + [ctypes.POINTER(ctypes.c_double)]
     )
     return kernel
 
@@ -210,9 +198,11 @@ def _nonfinite(step: int, burn_in: int) -> IntegrationError:
     return IntegrationError(f"non-finite state at step {step}")
 
 
-def integrate(params: LorenzParams, count: int) -> LorenzTrajectory:
+def integrate(params: LorenzParams, count: int) -> np.ndarray:
     """Fixed-step RK4 trajectory of `count` samples after burn-in.
 
+    Returns a C-contiguous (count, 3) float64 array whose rows are the
+    samples (x, y, z); read flat, it is the interleaved x1, y1, z1, x2, ...
     Post-burn-in samples are indexed t = 1, 2, ...; at every t = 1 mod
     10000 the disturbance is applied to the freshly computed sample (and
     therefore feeds the following steps): x += 0.1, y -= 0.2 when z <= 0,
@@ -222,21 +212,19 @@ def integrate(params: LorenzParams, count: int) -> LorenzTrajectory:
         raise ValueError(f"count must be >= 1, got {count}")
     x, y, z = params.x0, params.y0, params.z0
     a, b, c, h = params.a, params.b, params.c, params.step
-    # one allocation, not three: at image sizes it is one mapped block,
-    # unmapped when the trajectory is freed.  Three heap arrays stay
-    # resident when the kernel's first load leaves a small block above
-    # them, which raised a CLI op's peak RSS by ~4 MB in some runs.
-    xs, ys, zs = np.empty((3, count))
+    # one block, not three heap arrays: at image sizes it is mapped and
+    # unmapped whole, so no small block left above it can pin it in the heap
+    out = np.empty((count, 3))
     kernel = _load_kernel()
     if kernel is not None:
-        ptr = ctypes.POINTER(ctypes.c_double)
         bad = kernel(
             x, y, z, a, b, c, h, params.burn_in, count, DISTURBANCE_INTERVAL,
-            xs.ctypes.data_as(ptr), ys.ctypes.data_as(ptr), zs.ctypes.data_as(ptr),
+            out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
         )
         if bad:
             raise _nonfinite(bad, params.burn_in)
-        return LorenzTrajectory(xs, ys, zs)
+        return out
+    xs, ys, zs = out.T
     for i in range(params.burn_in):
         x, y, z = rk4_step(x, y, z, a, b, c, h)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
@@ -255,19 +243,7 @@ def integrate(params: LorenzParams, count: int) -> LorenzTrajectory:
         xs[t - 1] = x
         ys[t - 1] = y
         zs[t - 1] = z
-    return LorenzTrajectory(xs, ys, zs)
-
-
-def interleave(traj: LorenzTrajectory, length: int) -> np.ndarray:
-    """k = x1, y1, z1, x2, y2, z2, ... truncated to exactly `length`."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    need = -(-length // 3)
-    if len(traj) < need:
-        raise ValueError(
-            f"trajectory too short: {len(traj)} samples, need {need} for length {length}"
-        )
-    return np.stack((traj.xs, traj.ys, traj.zs), axis=1).ravel()[:length]
+    return out
 
 
 def _rank_permutation(k: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -336,9 +312,9 @@ def derive_keystream(k, sbox_count: int = 16) -> Keystream:
 
 
 def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystream:
-    """Integrate, interleave, take fractional parts and digest in one call."""
+    """Integrate, take fractional parts and digest in one call."""
     if not 1 <= length <= MAX_KEYSTREAM_LENGTH:
         raise ValueError(f"length must be in [1, {MAX_KEYSTREAM_LENGTH}], got {length}")
-    k = interleave(integrate(params, -(-length // 3)), length)
+    k = integrate(params, -(-length // 3)).reshape(-1)[:length]  # a view: rows are x, y, z
     k -= np.floor(k)  # the fractional part, in [0, 1) for either sign
     return derive_keystream(k, sbox_count)

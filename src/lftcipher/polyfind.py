@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2n import BinaryPoly, _coprime, _moduli, _orders, _prime_factors, _x_chain
-from .gf2n import is_irreducible_trial  # noqa: F401  the reference Rabin is tested against
 
 
 @dataclass(frozen=True)
@@ -57,26 +56,17 @@ def _totient(n: int) -> int:
 
 
 def _rabin(mods: np.ndarray, chain: np.ndarray, n: int) -> np.ndarray:
-    """Rabin's test on each modulus f = mods[0], given its chain x^(2^k) mod f."""
+    """Rabin's test on each modulus f = mods[0], given its chain x^(2^k) mod f.
+
+    f of degree n is irreducible iff f divides x^(2^n) - x and
+    gcd(f, x^(2^(n/p)) - x mod f) = 1 for every prime p dividing n.
+    """
     x = chain[0]
     irreducible = chain[n] == x
     for p in _prime_factors(n):
         cols = np.flatnonzero(irreducible)
         irreducible[cols] = _coprime(mods[0, cols], chain[n // p, cols] ^ x[cols])
     return irreducible
-
-
-def is_irreducible_rabin(f: BinaryPoly | int) -> bool:
-    """Rabin's irreducibility test, for degrees 1..16.
-
-    f of degree n is irreducible iff gcd(f, x^(2^(n/p)) - x mod f) = 1 for
-    every prime p dividing n, and f divides x^(2^n) - x.  Powers of x are
-    taken by repeated squaring in the quotient ring.
-    """
-    bits = BinaryPoly.parse(f).bits
-    n = bits.bit_length() - 1
-    mods = _moduli([bits], n)
-    return bool(_rabin(mods, _x_chain(mods, n), n)[0])
 
 
 def count_irreducible(n: int, p: int = 2) -> int:

@@ -257,6 +257,31 @@ class TestMetricsCommand:
         assert err.count("\n") == 1
         assert "sample_pairs" in err
 
+    @pytest.mark.parametrize("offset", ["1", "1,2,3", "a,b", "0,0", "9,9"])
+    def test_bad_glcm_offset_prints_no_metrics(self, tmp_path, capsys, offset):
+        from lftcipher import ImageBuffer
+
+        path = tmp_path / "small.pgm"
+        write_image(ImageBuffer(8, 8, 1, bytes(range(64))), path)
+        assert main(["metrics", "--in", str(path), "--glcm-offset", offset]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:invalid-input:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("against", ["missing", "mismatched"])
+    def test_bad_against_prints_no_metrics(self, tmp_path, small_image, capsys, against):
+        from lftcipher import ImageBuffer
+
+        path = tmp_path / "other.pgm"
+        if against == "mismatched":
+            write_image(ImageBuffer(8, 8, 1, bytes(64)), path)
+        assert main(["metrics", "--in", small_image, "--against", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_one_pixel_wide_image_correlation_undefined(self, tmp_path, capsys):
         from lftcipher import ImageBuffer
 

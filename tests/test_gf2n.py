@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import walk_order_of_x
 from lftcipher.gf2n import (
+    MAX_DEGREE,
     NEG_INF_DEGREE,
     BinaryPoly,
     FieldSpec,
     GeneratorSpanError,
     build_log_tables,
     field,
-    is_irreducible_trial,
-    order_of_x,
     poly_divmod,
     poly_gcd,
     poly_mod,
@@ -114,21 +112,15 @@ class TestFieldSpecConstruction:
         with pytest.raises(GeneratorSpanError):
             build_log_tables(spec)
 
-    def test_order_of_x_matches_walk(self):
-        irreducible = [
-            bits for n in range(1, 13) for bits in range(1 << n, 1 << (n + 1))
-            if is_irreducible_trial(bits)
-        ]
-        assert len(irreducible) == 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30 + 56 + 99 + 186 + 335
-        for bits in irreducible:
-            assert order_of_x(bits) == walk_order_of_x(bits), hex(bits)
-
     def test_order_of_x_degree_one_and_bounds(self):
-        assert order_of_x(0b10) is None  # x reduces to 0 modulo x
-        assert order_of_x(0b11) == 1
-        for bits in (1, (1 << 17) | 0b11):
+        from lftcipher.polyfind import enumerate_classified
+
+        rows = {r.poly.bits: r for r in enumerate_classified(1)}
+        assert rows[0b10].order is None  # x reduces to 0 modulo x
+        assert rows[0b11].order == 1
+        for n in (0, MAX_DEGREE + 1):
             with pytest.raises(ValueError):
-                order_of_x(bits)
+                enumerate_classified(n)
 
     def test_field_factory_shares_specs(self):
         assert field(0x11D) is field(0x11D)

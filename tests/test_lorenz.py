@@ -1,6 +1,7 @@
 import importlib.resources
 import math
 import os
+import subprocess
 import tempfile
 
 import numpy as np
@@ -15,10 +16,8 @@ from lftcipher.lorenz import (
     IntegrationError,
     Keystream,
     LorenzParams,
-    LorenzTrajectory,
     derive_keystream,
     integrate,
-    interleave,
     keystream,
     lorenz_derivatives,
     rk4_step,
@@ -116,34 +115,30 @@ class TestIntegrate:
         traj = integrate(p, 1)
         x, y, z = rk4_step(1.0, 1.0, 1.0, **STD, h=0.01)
         assert z > 0  # so the +0.2 / -0.1 branch applies
-        assert traj.xs[0] == x + 0.2
-        assert traj.ys[0] == y - 0.1
-        assert traj.zs[0] == z
+        assert traj[0].tolist() == [x + 0.2, y - 0.1, z]
 
     def test_negative_z_branch(self):
         # c < 0 drives z negative immediately from z0 < 0
         p = LorenzParams(0.0, 0.0, -5.0, a=0.0, b=0.0, c=-1.0, step=0.01, burn_in=0)
         traj = integrate(p, 1)
-        assert traj.zs[0] <= 0
+        assert traj[0, 2] <= 0
         x, y, z = rk4_step(0.0, 0.0, -5.0, 0.0, 0.0, -1.0, 0.01)
-        assert traj.xs[0] == x + 0.1
-        assert traj.ys[0] == y - 0.2
+        assert traj[0, 0] == x + 0.1
+        assert traj[0, 1] == y - 0.2
 
     def test_disturbance_feeds_forward(self):
         p = LorenzParams(1.0, 1.0, 1.0, burn_in=0)
         traj = integrate(p, 2)
-        nxt = rk4_step(traj.xs[0], traj.ys[0], traj.zs[0], **STD, h=0.01)
-        assert (traj.xs[1], traj.ys[1], traj.zs[1]) == nxt
+        nxt = rk4_step(*traj[0].tolist(), **STD, h=0.01)
+        assert tuple(traj[1].tolist()) == nxt
 
     def test_trigger_fires_again_at_10001(self):
         p = LorenzParams(1.0, 1.0, 1.0, burn_in=0)
         traj = integrate(p, DISTURBANCE_INTERVAL + 1)
-        x, y, z = traj.xs[-2], traj.ys[-2], traj.zs[-2]
-        sx, sy, sz = rk4_step(x, y, z, **STD, h=0.01)
+        sx, sy, sz = rk4_step(*traj[-2].tolist(), **STD, h=0.01)
         dx = 0.1 if sz <= 0 else 0.2
         dy = -0.2 if sz <= 0 else -0.1
-        assert traj.xs[-1] == sx + dx
-        assert traj.ys[-1] == sy + dy
+        assert traj[-1].tolist() == [sx + dx, sy + dy, sz]
 
     def test_burn_in_equivalence(self):
         p = LorenzParams(1.0, 1.0, 1.0, burn_in=7)
@@ -151,18 +146,18 @@ class TestIntegrate:
         for _ in range(7):
             state = rk4_step(*state, **STD, h=0.01)
         p0 = LorenzParams(*state, burn_in=0)
-        t1 = integrate(p, 20)
-        t2 = integrate(p0, 20)
-        assert np.array_equal(t1.xs, t2.xs)
-        assert np.array_equal(t1.ys, t2.ys)
-        assert np.array_equal(t1.zs, t2.zs)
+        assert np.array_equal(integrate(p, 20), integrate(p0, 20))
 
     def test_deterministic(self):
         p = LorenzParams(0.3, -0.4, 10.5)
-        t1 = integrate(p, 500)
-        t2 = integrate(p, 500)
-        assert np.array_equal(t1.xs, t2.xs)
-        assert np.array_equal(t1.zs, t2.zs)
+        assert np.array_equal(integrate(p, 500), integrate(p, 500))
+
+    @pytest.mark.parametrize("count", [1, 2, 10_001])
+    def test_one_contiguous_row_per_sample(self, count):
+        traj = integrate(LorenzParams(0.3, -0.4, 10.5), count)
+        assert traj.shape == (count, 3)
+        assert traj.dtype == np.float64
+        assert traj.flags.c_contiguous
 
     def test_overflow_names_step(self):
         p = LorenzParams(1.0, 1.0, 1.0, step=50.0, burn_in=0)
@@ -188,7 +183,8 @@ def _both_paths(monkeypatch, fn):
 
 
 def _bytes(traj):
-    return traj.xs.tobytes() + traj.ys.tobytes() + traj.zs.tobytes()
+    """x, then y, then z samples: the byte order the trajectory pins were taken in."""
+    return traj.T.tobytes()
 
 
 @pytest.fixture
@@ -277,16 +273,21 @@ class TestKernelLoading:
     def test_source_ships_with_package(self):
         assert (importlib.resources.files("lftcipher") / "_rk4.c").is_file()
 
+    def test_source_builds_without_warnings(self, tmp_path):
+        require_kernel()
+        build = subprocess.run(
+            ["cc", *lorenz._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "rk4.so"), str(lorenz._KERNEL_SOURCE)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert build.returncode == 0, build.stderr
+
 
 class TestFractional:
     """keystream's k is v - floor(v) of the interleaved trajectory."""
 
     def test_scalar_cases(self, monkeypatch):
-        traj = LorenzTrajectory(
-            np.array([3.25, -1.75, 0.0]),
-            np.array([0.5, -0.5, 2.0]),
-            np.array([-3.0, 1.0 - 1e-12, 100.25]),
-        )
+        traj = np.array([[3.25, 0.5, -3.0], [-1.75, -0.5, 1.0 - 1e-12], [0.0, 2.0, 100.25]])
         monkeypatch.setattr(lorenz, "integrate", lambda params, count: traj)
         k = keystream(LorenzParams(1.0, 1.0, 1.0), 9).k
         assert k.tolist() == [0.25, 0.5, 0.0, 0.25, 0.5, 1.0 - 1e-12, 0.0, 0.0, 0.25]
@@ -298,26 +299,23 @@ class TestFractional:
         assert k.max() < 1.0
 
 
-class TestInterleave:
-    def test_definition(self):
-        traj = LorenzTrajectory(
-            np.array([0.1, 0.4]), np.array([0.2, 0.5]), np.array([0.3, 0.6])
-        )
-        assert interleave(traj, 4).tolist() == [0.1, 0.2, 0.3, 0.4]
-        assert interleave(traj, 6).tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+class TestSingleBuffer:
+    """k is the flat (count, 3) trajectory, cut to length, with no copy."""
 
-    def test_empty(self):
-        traj = LorenzTrajectory(np.array([0.1]), np.array([0.2]), np.array([0.3]))
-        assert interleave(traj, 0).size == 0
+    # image-sized, and n = 0, 1, 2 (mod 3)
+    @pytest.mark.parametrize("n", [65535, 65536, 65537])
+    def test_k_is_fractional_part_of_flat_trajectory(self, n):
+        p = LorenzParams(1.1, 2.2, 3.3)
+        v = integrate(p, -(-n // 3)).ravel()[:n]
+        assert np.array_equal(keystream(p, n).k, v - np.floor(v))
 
-    def test_insufficient_raises(self):
-        traj = LorenzTrajectory(np.array([0.1]), np.array([0.2]), np.array([0.3]))
-        with pytest.raises(ValueError):
-            interleave(traj, 4)
-
-    def test_image_sized(self):
-        traj = integrate(LorenzParams(1.1, 2.2, 3.3), -(-65536 // 3))
-        assert interleave(traj, 65536).size == 65536
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_k_shares_the_integrated_buffer(self, monkeypatch, n):
+        traj = np.random.default_rng(n).uniform(-20, 20, (-(-n // 3), 3))
+        monkeypatch.setattr(lorenz, "integrate", lambda params, count: traj)
+        ks = keystream(LorenzParams(1.0, 1.0, 1.0), n)
+        assert ks.k.size == n
+        assert np.shares_memory(ks.k, traj)
 
 
 class TestDeriveKeystream:

@@ -1,53 +1,48 @@
 import pytest
 
 from conftest import walk_order_of_x
-from lftcipher.gf2n import BinaryPoly
+from lftcipher.gf2n import BinaryPoly, is_irreducible_trial
 from lftcipher.golden import PRIMITIVE_POLY_MASKS
 from lftcipher.polyfind import (
     PolyClassification,
     count_irreducible,
     count_primitive,
     enumerate_classified,
-    is_irreducible_rabin,
-    is_irreducible_trial,
 )
+
+
+def census_row(bits: int) -> PolyClassification:
+    """The row of `enumerate_classified` that classifies one polynomial."""
+    rows = {r.poly.bits: r for r in enumerate_classified(bits.bit_length() - 1)}
+    return rows[bits]
 
 
 class TestIrreducibility:
     def test_degree_two(self):
-        assert is_irreducible_rabin(0b111)  # x^2+x+1
-        assert not is_irreducible_rabin(0b101)  # x^2+1 = (x+1)^2
+        assert census_row(0b111).irreducible  # x^2+x+1
+        assert not census_row(0b101).irreducible  # x^2+1 = (x+1)^2
 
     def test_known_degree_eight(self):
-        assert is_irreducible_rabin(0x11D)
+        assert census_row(0x11D).irreducible
         assert is_irreducible_trial(0x11D)
 
     def test_quotient_modulus_gf16(self):
-        assert is_irreducible_rabin(0b11001)  # x^4+x^3+1
+        assert census_row(0b11001).irreducible  # x^4+x^3+1
         assert is_irreducible_trial(0b11001)
 
     def test_perfect_square_counterexample(self):
         # x^4+x^2+1 factors as (x^2+x+1)^2 despite sometimes being quoted
         # as irreducible; both classifiers agree it is reducible
         assert not is_irreducible_trial(0b10101)
-        assert not is_irreducible_rabin(0b10101)
+        assert not census_row(0b10101).irreducible
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
-            is_irreducible_rabin(1)
-        with pytest.raises(ValueError):
-            is_irreducible_rabin((1 << 17) | 0b11)  # beyond the uint32 batch arithmetic
-        with pytest.raises(ValueError):
             is_irreducible_trial(1)
 
-    def test_rabin_equals_trial_exhaustive_to_degree_10(self):
-        for n in range(1, 11):
-            for bits in range(1 << n, 1 << (n + 1)):
-                assert is_irreducible_rabin(bits) == is_irreducible_trial(bits), hex(bits)
-
     def test_accepts_binarypoly(self):
-        assert is_irreducible_rabin(BinaryPoly(0x11D))
-        assert not is_irreducible_rabin(BinaryPoly(0b10101))
+        assert is_irreducible_trial(BinaryPoly(0x11D))
+        assert not is_irreducible_trial(BinaryPoly(0b10101))
 
 
 class TestCounts:
