@@ -2,8 +2,9 @@
 
 Required: x0, y0, z0 (the secret initial conditions).  Optional with
 defaults: a=10, b=28, c=8/3, step=0.01, burn_in=100, lft_a..lft_d
-(32,22,11,8), and polys= a comma-separated list of exactly 16 primitive
-degree-8 polynomials given as hex masks or monomial strings.  Blank lines
+(32,22,11,8), and polys= a comma-separated list of the 16 primitive
+degree-8 polynomials, each once, in any order, given as hex masks or
+monomial strings.  Blank lines
 and lines starting with # are ignored; unknown or repeated keys are
 rejected with their line number.
 """
@@ -66,6 +67,8 @@ def _parse_polys(raw: str, where: str) -> tuple[int, ...]:
             poly = BinaryPoly.parse(tok.strip())
         except ValueError as e:
             raise KeyFileError(f"{where}: {e}") from None
+        if poly.bits in masks:
+            raise KeyFileError(f"{where}: {poly.monomials()} is listed twice")
         if poly.degree != 8:
             raise KeyFileError(f"{where}: {poly.monomials()} does not have degree 8")
         try:
@@ -135,22 +138,3 @@ def parse_key_file(path: str | os.PathLike) -> KeyFile:
             raise KeyFileError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_key_text(text, source=str(path))
 
-
-def format_key_file(kf: KeyFile) -> str:
-    """Serialize a KeyFile; floats keep 17 significant digits (exact round-trip)."""
-    lines = [
-        f"x0={kf.lorenz.x0!r}",
-        f"y0={kf.lorenz.y0!r}",
-        f"z0={kf.lorenz.z0!r}",
-        f"a={kf.lorenz.a!r}",
-        f"b={kf.lorenz.b!r}",
-        f"c={kf.lorenz.c!r}",
-        f"step={kf.lorenz.step!r}",
-        f"burn_in={kf.lorenz.burn_in}",
-        f"lft_a={kf.lft[0]}",
-        f"lft_b={kf.lft[1]}",
-        f"lft_c={kf.lft[2]}",
-        f"lft_d={kf.lft[3]}",
-        "polys=" + ",".join(f"0x{m:X}" for m in kf.polys),
-    ]
-    return "\n".join(lines) + "\n"

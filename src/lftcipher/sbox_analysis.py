@@ -129,15 +129,11 @@ def linear_probability(s) -> tuple[int, float]:
 
 
 def _ddt(table: np.ndarray) -> np.ndarray:
+    """Full 256x256 DDT; row dx, column dy, entries count inputs."""
     keys = np.take(table, _xor_index())  # keys[dx, x] = s(x + dx)
     keys ^= table  # dy = s(x) + s(x + dx)
     keys |= _ROW_BASE  # dx * 256 + dy
     return np.bincount(keys.ravel(), minlength=256 * 256).reshape(256, 256)
-
-
-def difference_distribution_table(s) -> np.ndarray:
-    """Full 256x256 DDT; row dx, column dy, entries count inputs."""
-    return _ddt(_as_table(s))
 
 
 def _differential_probability(table: np.ndarray) -> float:

@@ -44,6 +44,21 @@ def walk_order_of_x(bits: int) -> int | None:
     return None
 
 
+def inv_fermat(spec: FieldSpec, a: int) -> int:
+    """Reference inverse a^(2^n - 2) by shift-and-reduce products,
+    independent of the extended Euclid in FieldSpec.inv."""
+    if a == 0:
+        raise ZeroDivisionError(f"0 has no inverse in GF(2^{spec.n})")
+    r = 1
+    e = spec.order - 2
+    while e:
+        if e & 1:
+            r = spec.mul_naive(r, a)
+        a = spec.mul_naive(a, a)
+        e >>= 1
+    return r
+
+
 def flatten(img: ImageBuffer) -> np.ndarray:
     """Plane-order reference: row-major 1-D byte vector, 3-channel images as
     concatenated planes, the order in which the cipher treats the pixels."""

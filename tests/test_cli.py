@@ -163,6 +163,17 @@ class TestEncryptDecrypt:
         assert err.count("\n") == 1
         assert "burn_in" in err
 
+    def test_repeated_polynomial_key_file(self, tmp_path, small_image, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(KEY_TEXT + "polys=" + ",".join(["0x11D"] * 16) + "\n")
+        rc = main(["encrypt", "--key", str(bad), "--in", small_image,
+                   "--out", str(tmp_path / "ct.pgm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:keyfile:")
+        assert err.count("\n") == 1
+        assert "bad.txt:4" in err and "x^8+x^4+x^3+x^2+1 is listed twice" in err
+
     def test_non_utf8_key_file(self, tmp_path, small_image, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(KEY_TEXT.encode() + b"# caf\xe9\n")

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import inv_fermat
 from lftcipher.gf2n import (
-    MAX_DEGREE,
     NEG_INF_DEGREE,
     BinaryPoly,
     FieldSpec,
-    GeneratorSpanError,
-    build_log_tables,
     field,
     poly_divmod,
-    poly_gcd,
     poly_mod,
     poly_mul,
 )
@@ -81,10 +78,6 @@ class TestRawPolyArithmetic:
             assert poly_mul(q, b) ^ r == a
             assert r.bit_length() < b.bit_length()
 
-    def test_gcd_common_factor(self):
-        # (x^2+x+1)^2 = x^4+x^2+1 shares its factor with x^2+x+1
-        assert poly_gcd(0b10101, 0b111) == 0b111
-
     def test_mod_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             poly_mod(5, 0)
@@ -105,44 +98,25 @@ class TestFieldSpecConstruction:
         assert field_p1.antilog_table is not None
 
     def test_non_primitive_irreducible_field(self):
-        spec = FieldSpec(0x11B)  # x^8+x^4+x^3+x+1: irreducible, x has order 51
-        assert not spec.is_primitive
-        assert spec.generator_order == 51
-        assert spec.antilog_table is None
-        with pytest.raises(GeneratorSpanError):
-            build_log_tables(spec)
-
-    def test_order_of_x_degree_one_and_bounds(self):
-        from lftcipher.polyfind import enumerate_classified
-
-        rows = {r.poly.bits: r for r in enumerate_classified(1)}
-        assert rows[0b10].order is None  # x reduces to 0 modulo x
-        assert rows[0b11].order == 1
-        for n in (0, MAX_DEGREE + 1):
-            with pytest.raises(ValueError):
-                enumerate_classified(n)
+        cases = [
+            (0x11B, 51),  # x^8+x^4+x^3+x+1: irreducible, not primitive
+            (0b11111, 5),  # x^4+x^3+x^2+x+1: irreducible, not primitive
+            (0b10, None),  # x: x reduces to 0
+            (0b11, 1),  # x+1: x = 1 generates the one-element group
+        ]
+        for bits, order in cases:
+            spec = FieldSpec(bits)
+            assert spec.generator_order == order, hex(bits)
+            assert spec.is_primitive == (order == spec.order - 1), hex(bits)
+            assert (spec.antilog_table is None) == (not spec.is_primitive), hex(bits)
+            assert (spec.log_table is None) == (not spec.is_primitive), hex(bits)
+        spec = FieldSpec(0x11B)  # no tables: mul() is the shift-and-reduce path
+        for a in range(256):
+            for b in range(256):
+                assert spec.mul(a, b) == spec.mul_naive(a, b)
 
     def test_field_factory_shares_specs(self):
         assert field(0x11D) is field(0x11D)
-
-
-class TestAdd:
-    def test_add_self_is_zero(self, field_p1):
-        for a in range(256):
-            assert field_p1.add(a, a) == 0
-
-    def test_add_identity(self, field_p1):
-        for a in range(256):
-            assert field_p1.add(a, 0) == a
-
-    def test_add_is_xor(self, field_p1):
-        assert field_p1.add(0b10110, 0b01100) == 0b11010
-
-    def test_out_of_range_rejected(self, field_p1):
-        with pytest.raises(ValueError):
-            field_p1.add(256, 0)
-        with pytest.raises(ValueError):
-            field_p1.add(0, -1)
 
 
 class TestMul:
@@ -186,14 +160,11 @@ class TestFieldAxioms:
         for a in els:
             for b in els:
                 assert gf16.mul(a, b) == gf16.mul(b, a)
-                assert gf16.add(a, b) == gf16.add(b, a)
         for a in els:
             for b in els:
                 for c in els:
                     assert gf16.mul(gf16.mul(a, b), c) == gf16.mul(a, gf16.mul(b, c))
-                    assert gf16.mul(a, gf16.add(b, c)) == gf16.add(
-                        gf16.mul(a, b), gf16.mul(a, c)
-                    )
+                    assert gf16.mul(a, b ^ c) == gf16.mul(a, b) ^ gf16.mul(a, c)
 
     def test_gf256_axioms_randomized(self, field_p1):
         rng = np.random.default_rng(3)
@@ -212,8 +183,6 @@ class TestInv:
     def test_inv_zero_raises(self, field_p1):
         with pytest.raises(ZeroDivisionError):
             field_p1.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            field_p1.inv_fermat(0)
 
     def test_defining_property(self, field_p1):
         for a in range(1, 256):
@@ -222,7 +191,7 @@ class TestInv:
     def test_euclid_equals_fermat_exhaustive(self, field_p1, gf16):
         for spec in (gf16, field_p1):
             for a in range(1, spec.order):
-                assert spec.inv(a) == spec.inv_fermat(a)
+                assert spec.inv(a) == inv_fermat(spec, a)
 
     def test_gf16_inv_x_against_brute_force(self, gf16):
         candidates = [b for b in range(1, 16) if gf16.mul_naive(2, b) == 1]
@@ -233,30 +202,7 @@ class TestInv:
         spec = FieldSpec(0x11B)
         for a in range(1, 256):
             assert spec.mul(a, spec.inv(a)) == 1
-            assert spec.inv(a) == spec.inv_fermat(a)
-
-
-class TestElementOrder:
-    def test_order_of_one(self, field_p1):
-        assert field_p1.element_order(1) == 1
-
-    def test_x_has_full_order_in_gf16(self, gf16):
-        assert gf16.element_order(2) == 15
-
-    def test_non_primitive_gf16_proper_divisor(self):
-        spec = FieldSpec(0b11111)  # x^4+x^3+x^2+x+1, irreducible, not primitive
-        order = spec.element_order(2)
-        assert order == 5
-        assert 15 % order == 0 and order < 15
-
-    def test_order_divides_group_order(self, gf16, field_p1):
-        for spec in (gf16, field_p1):
-            for a in range(1, spec.order):
-                assert (spec.order - 1) % spec.element_order(a) == 0
-
-    def test_order_of_zero_rejected(self, field_p1):
-        with pytest.raises(ValueError):
-            field_p1.element_order(0)
+            assert spec.inv(a) == inv_fermat(spec, a)
 
 
 class TestLogTables:
@@ -298,15 +244,3 @@ class TestLogTables:
         assert gf16.antilog_table == expected
         assert gf16.mul_naive(expected[-1], 2) == 1
 
-
-class TestPow:
-    def test_pow_matches_repeated_mul(self, gf16):
-        for a in range(16):
-            acc = 1
-            for e in range(10):
-                assert gf16.pow(a, e) == acc
-                acc = gf16.mul(acc, a)
-
-    def test_fermat_exponent_is_identity(self, field_p1):
-        for a in range(1, 256):
-            assert field_p1.pow(a, 255) == 1

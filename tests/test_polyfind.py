@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import walk_order_of_x
-from lftcipher.gf2n import BinaryPoly, is_irreducible_trial
+from lftcipher.gf2n import BinaryPoly, FieldSpec, is_irreducible_trial
 from lftcipher.golden import PRIMITIVE_POLY_MASKS
 from lftcipher.polyfind import (
     PolyClassification,
@@ -47,24 +47,24 @@ class TestIrreducibility:
 
 class TestCounts:
     def test_degree_eight(self):
-        assert count_irreducible(8, 2) == 30
-        assert count_primitive(8, 2) == 16
+        assert count_irreducible(8) == 30
+        assert count_primitive(8) == 16
 
     def test_degree_one(self):
-        assert count_irreducible(1, 2) == 2  # x and x+1
+        assert count_irreducible(1) == 2  # x and x+1
 
     def test_degree_four(self):
-        assert count_irreducible(4, 2) == 3
-        assert count_primitive(4, 2) == 2
+        assert count_irreducible(4) == 3
+        assert count_primitive(4) == 2
 
     def test_degree_two_primitive(self):
-        assert count_primitive(2, 2) == 1  # x^2+x+1
+        assert count_primitive(2) == 1  # x^2+x+1
 
     def test_counts_match_enumeration_1_to_10(self):
         for n in range(1, 11):
             rows = enumerate_classified(n)
-            assert sum(r.irreducible for r in rows) == count_irreducible(n, 2)
-            assert sum(r.primitive for r in rows) == count_primitive(n, 2)
+            assert sum(r.irreducible for r in rows) == count_irreducible(n)
+            assert sum(r.primitive for r in rows) == count_primitive(n)
 
 
 class TestBatchCensus:
@@ -107,12 +107,11 @@ class TestEnumeration:
                 assert r.order is not None and r.order < 255 and 255 % r.order == 0
 
     def test_primitive_order_confirmed_by_field_arithmetic(self):
-        # independent route: FieldSpec.element_order uses table-backed muls
-        from lftcipher.gf2n import FieldSpec
-
-        for r in enumerate_classified(8):
-            if r.primitive:
-                assert FieldSpec(r.poly.bits).element_order(2) == 255
+        # independent route: FieldSpec walks x, x^2, ... one product at a time
+        for n in range(2, 11):
+            for r in enumerate_classified(n):
+                if r.irreducible:
+                    assert FieldSpec(r.poly.bits).generator_order == r.order, hex(r.poly.bits)
 
     def test_degree_four_primitive_set(self):
         prim = {r.poly.bits for r in enumerate_classified(4) if r.primitive}

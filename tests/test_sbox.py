@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import inv_fermat
 from lftcipher.gf2n import field
 from lftcipher.golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
 from lftcipher.sbox import (
@@ -27,7 +28,7 @@ IDENTITY = bytes(range(256))
 
 def lft_oracle(spec, a, b, c, d, inverses):
     """g(z) = (az+b)/(cz+d) entry by entry with shift-and-reduce products;
-    inverses[v] is spec.inv_fermat(v).  The pole goes to a/c."""
+    inverses[v] is inv_fermat(spec, v).  The pole goes to a/c."""
     table = []
     for z in range(256):
         num = spec.mul_naive(a, z) ^ b
@@ -45,7 +46,7 @@ def fermat_inverses():
     out = {}
     for mask in PRIMITIVE_POLY_MASKS:
         spec = field(mask)
-        out[mask] = [0] + [spec.inv_fermat(v) for v in range(1, 256)]
+        out[mask] = [0] + [inv_fermat(spec, v) for v in range(1, 256)]
     return out
 
 
