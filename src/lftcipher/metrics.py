@@ -48,9 +48,22 @@ class GlcmFeatures(NamedTuple):
     energy: float
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of a * b over two uint8 arrays of one shape.
+
+    The uint16 products are formed for blocks of leading rows, about
+    _COUNT_CHUNK elements each, so no temporary grows with the image.
+    """
+    rows = max(1, _COUNT_CHUNK // max(1, math.prod(a.shape[1:])))
+    return sum(
+        int(np.multiply(a[i : i + rows], b[i : i + rows], dtype=np.uint16).sum(dtype=np.int64))
+        for i in range(0, len(a), rows)
+    )
+
+
 def _sums(x: np.ndarray) -> tuple[int, int]:
     """Exact sum and sum of squares of a uint8 array."""
-    return int(x.sum(dtype=np.int64)), int(np.square(x, dtype=np.uint16).sum(dtype=np.int64))
+    return int(x.sum(dtype=np.int64)), _dot(x, x)
 
 
 def adjacency_correlation(
@@ -94,7 +107,7 @@ def adjacency_correlation(
         sa, saa = total - s_last, total_sq - sq_last
         sb, sbb = total - s_first, total_sq - sq_first
     n = a.size
-    sab = int(np.multiply(a, b, dtype=np.uint16).sum(dtype=np.int64))
+    sab = _dot(a, b)
     var_a = n * saa - sa * sa
     var_b = n * sbb - sb * sb
     if var_a == 0 or var_b == 0:

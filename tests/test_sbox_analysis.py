@@ -8,8 +8,9 @@ from lftcipher.gf2n import field
 from lftcipher.metrics import cryptanalysis_report
 from lftcipher.sbox import SBoxValidationError, load_external_sbox
 from lftcipher.sbox_analysis import (
+    StrengthReport,
     _as_table,
-    _ddt,
+    _half_ddt,
     _spectra,
     analyze,
     bic,
@@ -69,13 +70,12 @@ class TestWalshMachinery:
                 for gx in (0, 1, 5, 77, 128, 255, gy):
                     assert w[gy, gx] == direct_walsh(f, gx)
             assert np.array_equal((256 + w.T) // 2, direct_count_lat(table))
-            assert np.array_equal(_spectra(table, (3, 200)), w[[3, 200]])
 
     def test_parseval_per_coordinate(self, family):
         for box in family[:4]:
             w = _spectra(np.frombuffer(box.table, dtype=np.uint8).astype(np.int64))
             for bit in range(8):
-                assert int((w[1 << bit] ** 2).sum()) == 1 << 16
+                assert int((w[1 << bit].astype(np.int64) ** 2).sum()) == 1 << 16
 
     def test_spectra_constant_function(self):
         # output mask 0 gives the constant function 0, for any table
@@ -199,8 +199,10 @@ class TestDifferentialProbability:
         assert differential_probability(inversion_box()) == 4 / 256
 
     def test_ddt_rows_sum_to_256(self, family):
-        ddt = _ddt(_as_table(family[0]))
-        assert np.all(ddt.sum(axis=1) == 256)
+        # each row counts the 128 unordered pairs {x, x ^ dx} once, half of 256
+        half = _half_ddt(_as_table(family[0]))
+        assert half.shape == (255, 256)
+        assert np.all(half.sum(axis=1) == 128)
 
     def test_exhaustive_loop_oracle(self):
         inv = inversion_box()
@@ -213,10 +215,11 @@ class TestDifferentialProbability:
         assert best / 256 == differential_probability(inv)
 
     def test_ddt_matches_per_dx_loop(self, family):
+        # x -> x ^ dx pairs each counted input with one left out, of the same dy
         rng = np.random.default_rng(3)
-        for t in (family[2].table, random_bijection(rng), IDENTITY):
+        for t in (family[2].table, random_bijection(rng), IDENTITY, inversion_box()):
             vals = np.frombuffer(t, dtype=np.uint8).astype(np.int64)
-            assert np.array_equal(_ddt(_as_table(t)), per_dx_ddt(vals))
+            assert np.array_equal(2 * _half_ddt(_as_table(t)), per_dx_ddt(vals)[1:])
 
     def test_inverse_box_has_same_dp(self, family):
         rng = np.random.default_rng(7)
@@ -230,36 +233,79 @@ class TestDifferentialProbability:
             assert differential_probability(box) == 4 / 256
 
 
+def direct_spectra(table: np.ndarray) -> np.ndarray:
+    """W[Gy, Gx] as the direct sum over x of +-1 terms, in int64."""
+    par8 = np.array([parity(v) for v in range(256)], dtype=np.int64)
+    masks = np.arange(256)
+    s_out = 1 - 2 * par8[np.bitwise_and.outer(masks, table)]  # (Gy, x)
+    s_in = 1 - 2 * par8[np.bitwise_and.outer(masks, masks)]  # (Gx, x)
+    return s_out @ s_in.T
+
+
+def definition_report(table: np.ndarray) -> StrengthReport:
+    """The six criteria from their definitions, sharing no code with the module."""
+    w = direct_spectra(table)
+    nl = [128 - int(np.abs(w[gy]).max()) // 2 for gy in range(256)]
+    per = [nl[1 << j] for j in range(8)]
+    pair_masks = [(1 << j) | (1 << k) for j in range(8) for k in range(j + 1, 8)]
+    par8 = np.array([parity(v) for v in range(256)], dtype=np.uint8)
+    xs = np.arange(256)
+    d = np.array([table ^ table[xs ^ (1 << i)] for i in range(8)])  # d[i, x]
+    counts = (256 + w[1:, 1:]) // 2
+    return StrengthReport(
+        nl_per_coordinate=tuple(per),
+        nl_min=min(per),
+        nl_average=sum(per) / 8.0,
+        sac_mean=float((d[:, :, None] >> np.arange(8) & 1).mean()),
+        bic_nl=float(np.mean([nl[m] for m in pair_masks])),
+        bic_sac=float(par8[d[:, :, None] & pair_masks].mean()),
+        lp_count=int(counts.max()),
+        lp_bias=float(np.abs(counts / 256 - 0.5).max()),
+        dp=per_dx_ddt(table)[1:].max() / 256,
+    )
+
+
+FORMS = {
+    "LftSBox": lambda perm: load_external_sbox(bytes(perm)),
+    "bytes": bytes,
+    "list": list,
+    "ndarray": np.array,
+}
+
+
 @settings(max_examples=25)
-@given(st.permutations(range(256)))
-def test_lp_and_dp_match_oracles_on_random_bijections(perm):
-    vals = np.array(perm, dtype=np.int64)
-    counts = direct_count_lat(vals)[1:, 1:]
-    assert linear_probability(perm) == (
-        int(counts.max()), float(np.abs(counts / 256 - 0.5).max()))
-    assert differential_probability(perm) == per_dx_ddt(vals)[1:].max() / 256
+@given(st.permutations(range(256)), st.sampled_from(sorted(FORMS)))
+def test_analyze_matches_definitions_on_random_bijections(perm, form):
+    s = FORMS[form](perm)
+    expected = definition_report(np.array(perm, dtype=np.int64))
+    assert analyze(s) == expected
+    assert sac_matrix(s)[1] == expected.sac_mean
 
 
 class TestSharedResult:
-    """LP and DP are measured once per table and shared by later callers."""
+    """Each table is measured once; every criterion reads that measurement."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
+        """The table bytes of every call of the measuring kernel, in order."""
         sbox_analysis._found.cache_clear()
-        calls = {"lp": [], "dp": []}
-        for name, attr in (("lp", "_linear_probability"), ("dp", "_differential_probability")):
-            def counted(table, name=name, kernel=getattr(sbox_analysis, attr)):
-                calls[name].append(table.astype(np.uint8).tobytes())
-                return kernel(table)
-            monkeypatch.setattr(sbox_analysis, attr, counted)
+        calls = []
+
+        def counted(table, kernel=sbox_analysis._measure):
+            calls.append(table.tobytes())
+            return kernel(table)
+
+        monkeypatch.setattr(sbox_analysis, "_measure", counted)
         yield calls
         sbox_analysis._found.cache_clear()
 
     def test_analyze_then_report_measures_each_box_once(self, family, kernel_calls):
         reports = [analyze(box) for box in family]
         text = cryptanalysis_report(family)
-        tables = [box.table for box in family]
-        assert kernel_calls == {"lp": tables, "dp": tables}
+        for box, report in zip(family, reports):
+            assert nonlinearity(box) == (list(report.nl_per_coordinate), report.nl_average)
+            assert bic(box) == (report.bic_nl, report.bic_sac)
+        assert kernel_calls == [box.table for box in family]
         assert all((r.lp_count, r.lp_bias, r.dp) == (144, 0.0625, 4 / 256) for r in reports)
         assert "2^-4.00" in text and "2^-6.00" in text
 
@@ -269,15 +315,17 @@ class TestSharedResult:
                   np.frombuffer(box.table, dtype=np.uint8), load_external_sbox(box.table)):
             assert linear_probability(s) == (144, 0.0625)
             assert differential_probability(s) == 4 / 256
-        assert kernel_calls == {"lp": [box.table], "dp": [box.table]}
+            assert nonlinearity(s) == ([112] * 8, 112.0)
+            assert analyze(s).nl_min == 112
+        assert kernel_calls == [box.table]
 
     def test_invalid_table_raises_before_lookup(self, kernel_calls):
         before = sbox_analysis._found.cache_info()
-        for fn in (linear_probability, differential_probability):
+        for fn in (analyze, nonlinearity, bic, linear_probability, differential_probability):
             with pytest.raises(SBoxValidationError):
                 fn([0] * 256)
         assert sbox_analysis._found.cache_info() == before
-        assert kernel_calls == {"lp": [], "dp": []}
+        assert kernel_calls == []
 
     def test_memo_holds_one_family(self, family, kernel_calls):
         rng = np.random.default_rng(11)
@@ -285,7 +333,7 @@ class TestSharedResult:
             differential_probability(t)
         assert sbox_analysis._found.cache_info().currsize == 16
         differential_probability(family[0])  # the oldest entry was evicted
-        assert len(kernel_calls["dp"]) == 18
+        assert len(kernel_calls) == 18
 
 
 class TestAnalyze:
