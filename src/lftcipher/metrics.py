@@ -54,7 +54,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> int:
     The uint16 products are formed for blocks of leading rows, about
     _COUNT_CHUNK elements each, so no temporary grows with the image.
     """
-    rows = max(1, _COUNT_CHUNK // max(1, math.prod(a.shape[1:])))
+    rows = max(1, _COUNT_CHUNK // math.prod(a.shape[1:]))
     return sum(
         int(np.multiply(a[i : i + rows], b[i : i + rows], dtype=np.uint16).sum(dtype=np.int64))
         for i in range(0, len(a), rows)

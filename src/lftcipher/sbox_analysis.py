@@ -3,8 +3,8 @@
 All metrics are exhaustive, never sampled: nonlinearity and linear
 probability come from full Walsh spectra, differential probability from
 every input pair, SAC/BIC from all input-bit flips.  Each box is measured
-once, and every criterion reads that one measurement: about 0.5 ms per
-box on a 2 vCPU Xeon (Python 3.11.7, numpy 2.4.6).
+once, and every criterion reads that one measurement: about 0.5-0.7 ms
+per box on a 2 vCPU Xeon (Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
