@@ -18,6 +18,8 @@ from . import golden, lorenz
 from .lorenz import Keystream, LorenzParams
 from .sbox import LftSBox, build_family
 
+_GATHER_BLOCK = 1 << 16  # index entries per take: a 512 KB intp buffer
+
 
 @dataclass(frozen=True)
 class ImageBuffer:
@@ -124,7 +126,11 @@ def _lookup(v, selectors, sboxes, inverse: bool) -> np.ndarray:
     """One gather through the concatenated tables: entry selector * 256 + byte.
 
     Row/column selection by high/low nibble is exactly a full-byte lookup,
-    since row*16 + column reassembles the byte.
+    since row*16 + column reassembles the byte.  np.take wants an intp
+    index, so the index is built in one reused intp buffer and gathered
+    _GATHER_BLOCK entries at a time, not made whole.  Every entry is in
+    range (the selectors are checked, bytes are below 256), so mode="clip"
+    changes nothing but spares take from buffering `out`.
     """
     v = np.asarray(v)
     selectors = np.asarray(selectors)
@@ -137,11 +143,18 @@ def _lookup(v, selectors, sboxes, inverse: bool) -> np.ndarray:
             f"selectors {int(selectors.min())}..{int(selectors.max())}"
             f" out of range for {len(sboxes)} S-boxes"
         )
-    tables = b"".join(s.inverse if inverse else s.table for s in sboxes)
-    index = selectors.astype(np.uint16)
-    index <<= 8
-    index |= v
-    return np.take(np.frombuffer(tables, dtype=np.uint8), index)
+    tables = np.frombuffer(b"".join(s.inverse if inverse else s.table for s in sboxes), np.uint8)
+    out = np.empty(v.shape, dtype=np.uint8)
+    v, selectors, gathered = v.reshape(-1), selectors.reshape(-1), out.reshape(-1)
+    buf = np.empty(min(v.size, _GATHER_BLOCK), dtype=np.intp)
+    for start in range(0, v.size, _GATHER_BLOCK):
+        block = slice(start, start + _GATHER_BLOCK)
+        index = buf[: min(_GATHER_BLOCK, v.size - start)]
+        index[...] = selectors[block]
+        index <<= 8
+        index |= v[block]
+        np.take(tables, index, out=gathered[block], mode="clip")
+    return out
 
 
 def substitute(v, selectors, sboxes) -> np.ndarray:

@@ -146,7 +146,9 @@ def cmd_cipher(args) -> int:
     if args.emit_keystream:
         with open(args.emit_keystream, "w", encoding="utf-8") as f:
             _dump_keystream(ks, f)
-    netpbm.write_image(args.stage(img, key, ks), args.out)
+    out = args.stage(img, key, ks)
+    del img, ks  # writing needs neither the input nor the 18 bytes a pixel of keystream
+    netpbm.write_image(out, args.out)
     return 0
 
 

@@ -39,6 +39,9 @@ DEFAULT_BURN_IN = 100
 MAX_BURN_IN = 1_000_000
 # 8192 x 8192 pixels; also keeps the rank sort's packed index within 26 bits
 MAX_KEYSTREAM_LENGTH = 1 << 26
+# elements per step of the blocked digest passes; their 128 KB temporaries are
+# reused from the malloc heap, where 512 KB ones cost fresh page faults
+_BLOCK = 1 << 14
 
 _KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
 # no FMA contraction and no fast-math: either would change the rounding
@@ -250,31 +253,50 @@ def _rank_permutation(k: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """np.argsort(k, kind="stable") for k in [0, 1), by one sort of packed keys.
 
     `keys` holds the bit patterns of k + 0.0 (the + 0.0 folds -0.0 into
-    +0.0) as uint64 and is overwritten.  For non-negative doubles the bit
-    patterns order as the values do, and below 1.0 the top two bits are
-    clear.  So with b index bits, the key (bits >> (b - 2)) << b | i keeps
-    the 64 - b high bits of k_i above the index i and fits in 64 bits;
-    sorting the keys sorts k with ties broken by lower index, except inside
-    runs of equal high parts, which are re-ordered by (k, index).
+    +0.0) as uint64; it is sorted in place and returned, viewed as int64, as
+    the permutation.  For non-negative doubles the bit patterns order as the
+    values do, and below 1.0 the top two bits are clear.  So with b index
+    bits, the key (bits >> (b - 2)) << b | i keeps the 64 - b high bits of
+    k_i above the index i and fits in 64 bits; sorting the keys sorts k with
+    ties broken by lower index, except inside runs of equal high parts,
+    which are re-ordered by (k, index).  Sorted neighbours share a high part
+    exactly when their XOR is below 2^b.  The indices are ORed in and the
+    ties found _BLOCK keys at a time through one scratch block, so no
+    full-size temporary is made.
     """
     n = k.size
-    perm = np.arange(n, dtype=np.int64)
+    perm = keys.view(np.int64)
     if n < 2:
+        keys.fill(0)
         return perm
     b = (n - 1).bit_length()
+    low = np.uint64((1 << b) - 1)
     keys >>= max(b - 2, 0)
     keys <<= b
-    keys |= perm.view(np.uint64)
+    scratch = np.arange(min(n, _BLOCK), dtype=np.uint64)  # the first block's indices
+    for start in range(0, n, _BLOCK):
+        block = keys[start : start + _BLOCK]
+        block |= scratch[: block.size]
+        scratch += _BLOCK
     keys.sort()
-    np.bitwise_and(keys, (1 << b) - 1, out=perm.view(np.uint64))
-    keys >>= b
-    ties = np.flatnonzero(keys[1:] == keys[:-1])
-    if ties.size:
-        pos = np.concatenate((ties, ties + 1))
+    ties = []
+    for start in range(0, n - 1, _BLOCK):
+        block = keys[start : start + _BLOCK + 1]
+        step = np.bitwise_xor(block[1:], block[:-1], out=scratch[: block.size - 1])
+        tied = np.flatnonzero(step <= low)
+        if tied.size:
+            ties.append(tied + start)
+    if ties:
+        tied = np.concatenate(ties)
+        # not np.union1d: np.unique's first call in a process costs 15-30 ms
+        pos = np.concatenate((tied, tied + 1))
         pos.sort()
         pos = pos[np.diff(pos, prepend=-1) > 0]
+        high = keys[pos] >> b  # saved before the indices are masked out
+    keys &= low
+    if ties:
         idx = perm[pos]
-        perm[pos] = idx[np.lexsort((idx, k[idx], keys[pos]))]
+        perm[pos] = idx[np.lexsort((idx, k[idx], high))]
     return perm
 
 
@@ -287,8 +309,12 @@ def derive_keystream(k, sbox_count: int = 16) -> Keystream:
 
     The position shuffle is realized as the rank permutation of k, the
     standard reading for this family of designs.  k_i * 10^4 lies in
-    [0, 10^4], so truncation toward zero is the floor and int32 and uint16
-    hold it.  A float64 array k is kept as the Keystream's k, not copied.
+    [0, 10^4], so truncation toward zero is the floor and uint16 holds it.
+    A float64 array k is kept as the Keystream's k, not copied.  Beyond k,
+    one full-size float64 buffer is made: it holds k * 10^4, then the sort
+    keys, and is returned, viewed as int64, as perm.  The mask and
+    selector bytes are written _BLOCK entries at a time, so their uint16
+    temporaries stay small.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 1:
@@ -298,23 +324,36 @@ def derive_keystream(k, sbox_count: int = 16) -> Keystream:
     if not 1 <= sbox_count <= 256:
         raise ValueError(f"sbox_count must be in [1, 256], got {sbox_count}")
     scaled = k * 1e4
-    floor = scaled.astype(np.uint16)
-    # u - u // m * m is u % m; numpy vectorises integer floor division but
-    # not the remainder, which is about ten times slower
-    quotient = floor // sbox_count
-    quotient *= sbox_count
-    floor -= quotient
-    selectors = floor.astype(np.uint8)
-    scaled += 0.5
-    mask = scaled.astype(np.int32).astype(np.uint8)
+    mask = np.empty(k.size, dtype=np.uint8)
+    selectors = np.empty(k.size, dtype=np.uint8)
+    for start in range(0, k.size, _BLOCK):
+        block = scaled[start : start + _BLOCK]
+        floor = block.astype(np.uint16)
+        # u - u // m * m is u % m; numpy vectorises integer floor division
+        # but not the remainder, which is about ten times slower
+        quotient = floor // sbox_count
+        quotient *= sbox_count
+        floor -= quotient
+        selectors[start : start + _BLOCK] = floor
+        block += 0.5
+        mask[start : start + _BLOCK] = block.astype(np.uint16)  # the low byte
     keys = np.add(k, 0.0, out=scaled).view(np.uint64)  # scaled is spent
     return Keystream(k=k, perm=_rank_permutation(k, keys), mask=mask, selectors=selectors)
 
 
 def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystream:
-    """Integrate, take fractional parts and digest in one call."""
+    """Integrate, take fractional parts and digest in one call.
+
+    k is the flat trajectory itself, reduced to its fractional parts in
+    place _BLOCK samples at a time, so derive_keystream's buffer is the only
+    full-size float array made beyond it.
+    """
     if not 1 <= length <= MAX_KEYSTREAM_LENGTH:
         raise ValueError(f"length must be in [1, {MAX_KEYSTREAM_LENGTH}], got {length}")
     k = integrate(params, -(-length // 3)).reshape(-1)[:length]  # a view: rows are x, y, z
-    k -= np.floor(k)  # the fractional part, in [0, 1) for either sign
+    whole = np.empty(min(length, _BLOCK))
+    for start in range(0, length, _BLOCK):
+        block = k[start : start + _BLOCK]
+        # the fractional part, in [0, 1) for either sign
+        block -= np.floor(block, out=whole[: block.size])
     return derive_keystream(k, sbox_count)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import flatten, make_natural_image, unflatten
-from lftcipher import CipherKey, ImageBuffer, LorenzParams, decrypt, encrypt
+from lftcipher import CipherKey, ImageBuffer, LorenzParams, cipher, decrypt, encrypt
 from lftcipher.cipher import (
     inverse_permute,
     inverse_substitute,
@@ -135,6 +135,20 @@ class TestSubstitute:
         with pytest.raises(ValueError, match="uint8"):
             substitute(np.array([1, 300]), np.array([0, 0]), family)
 
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, cipher._GATHER_BLOCK - 1, cipher._GATHER_BLOCK, cipher._GATHER_BLOCK + 1, 200_003],
+    )
+    def test_block_edges_match_table_loop(self, family, n):
+        rng = np.random.default_rng(n)
+        v = rng.integers(0, 256, n, dtype=np.uint8)
+        sel = rng.integers(0, 16, n, dtype=np.uint8)
+        pairs = list(zip(sel.tolist(), v.tolist()))
+        assert substitute(v, sel, family).tobytes() == bytes(family[s].table[b] for s, b in pairs)
+        assert inverse_substitute(v, sel, family).tobytes() == bytes(
+            family[s].inverse[b] for s, b in pairs
+        )
+
     def test_nibble_equivalence(self, family):
         # row = high nibble, column = low nibble is the byte itself
         box = family[3]
@@ -146,7 +160,8 @@ class TestSubstitute:
 class TestEncryptDecrypt:
     def test_round_trip_dimension_grid(self, test_key):
         rng = np.random.default_rng(18)
-        for w, h in ((1, 1), (1, 8), (8, 1), (17, 31), (64, 64)):
+        # 263 x 257 = 67,591 pixels: one full 65,536-entry gather block and part of another
+        for w, h in ((1, 1), (1, 8), (8, 1), (17, 31), (64, 64), (263, 257)):
             for ch in (1, 3):
                 data = rng.integers(0, 256, w * h * ch, dtype=np.uint8).tobytes()
                 img = ImageBuffer(w, h, ch, data)

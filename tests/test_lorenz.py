@@ -318,7 +318,43 @@ class TestSingleBuffer:
         assert np.shares_memory(ks.k, traj)
 
 
+# lengths at and around the digest's block edges, and the lengths below
+EDGE_LENGTHS = sorted(
+    {1, 2, lorenz._BLOCK - 1, lorenz._BLOCK, lorenz._BLOCK + 1, 65_535, 65_536, 65_537, 200_003}
+)
+
+
+def planted_k(n: int, kind: str) -> np.ndarray:
+    """Increasing k in [0, 1), so index order is sorted order, with a tie
+    planted across every multiple e of the digest's block: the same value at
+    e - 1 and e ("equal"), x + 1 ulp then x ("low-bits", which the packed
+    sort keys cannot tell apart), or x + 1 ulp, x, x + 1 ulp, x over
+    e - 2 .. e + 1 ("run").  x has its low 16 bits clear, so the ulp never
+    carries into the bits the keys keep."""
+    k = np.sort(np.random.default_rng(n).uniform(0, 1, n))
+    for e in range(lorenz._BLOCK, n - 1, lorenz._BLOCK):
+        x = (k[e - 2 : e - 1].view(np.uint64) >> 16 << 16).view(np.float64)[0]
+        y = np.nextafter(x, 1.0)
+        if kind == "equal":
+            k[e - 1 : e + 1] = x
+        elif kind == "low-bits":
+            k[e - 1 : e + 1] = (y, x)
+        else:
+            k[e - 2 : e + 2] = (y, x, y, x)
+    return k
+
+
 class TestDeriveKeystream:
+    @pytest.mark.parametrize("kind", ["equal", "low-bits", "run"])
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_block_edges(self, n, kind):
+        k = planted_k(n, kind)
+        ks = derive_keystream(k)
+        assert np.array_equal(ks.perm, np.argsort(k, kind="stable"))
+        scaled = k * 1e4
+        assert np.array_equal(ks.mask, (np.floor(scaled + 0.5).astype(np.int64) % 256))
+        assert np.array_equal(ks.selectors, (np.floor(scaled).astype(np.int64) % 16))
+
     def test_zero_entry(self):
         ks = derive_keystream(np.array([0.0]))
         assert ks.mask[0] == 0

@@ -1,0 +1,49 @@
+"""tracemalloc guards on the full-size keystream digest and cipher stages.
+
+numpy reports its data buffers to tracemalloc, so these figures count array
+memory exactly and do not depend on the layout of the malloc heap.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lftcipher import ImageBuffer, decrypt, encrypt, lorenz
+
+MB = 1 << 20
+SIDE = 1024
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def rgb_and_stream(test_key):
+    rgb = np.random.default_rng(7).integers(0, 256, (SIDE, SIDE, 3), dtype=np.uint8)
+    img = ImageBuffer.from_array(rgb)
+    return img, test_key.keystream(img.pixel_count)
+
+
+def test_keystream_peaks_within_4_mb_of_what_it_keeps(test_key, traced):
+    lorenz.keystream(test_key.lorenz, SIDE * SIDE)  # leave first-call imports out
+    tracemalloc.reset_peak()
+    ks = lorenz.keystream(test_key.lorenz, SIDE * SIDE)
+    held, peak = tracemalloc.get_traced_memory()
+    assert len(ks) == SIDE * SIDE
+    assert peak <= held + 4 * MB
+
+
+@pytest.mark.parametrize("stage", [encrypt, decrypt])
+def test_cipher_stage_allocates_two_images_plus_2_mb(test_key, rgb_and_stream, traced, stage):
+    img, ks = rgb_and_stream
+    stage(img, test_key, ks)
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = stage(img, test_key, ks)
+    assert len(out.data) == len(img.data)
+    assert tracemalloc.get_traced_memory()[1] - before <= 2 * len(img.data) + 2 * MB
