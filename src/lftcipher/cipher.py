@@ -167,12 +167,20 @@ def inverse_substitute(v, selectors, sboxes) -> np.ndarray:
     return _lookup(v, selectors, sboxes, inverse=True)
 
 
-def _keystream_for(img: ImageBuffer, key: CipherKey, ks: Keystream | None) -> Keystream:
+def _keystream_for(
+    img: ImageBuffer, key: CipherKey, ks: Keystream | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (perm, mask, selectors) the stages read; k is not among them.
+
+    When the stream is derived here, only these three arrays outlive the
+    call, so k and the integrator buffer it views are freed before any
+    stage output is allocated.
+    """
     if ks is None:
-        return key.keystream(img.pixel_count)
-    if len(ks) != img.pixel_count:
+        ks = key.keystream(img.pixel_count)
+    elif len(ks) != img.pixel_count:
         raise ValueError(f"keystream length {len(ks)} != pixel count {img.pixel_count}")
-    return ks
+    return ks.perm, ks.mask, ks.selectors
 
 
 def _map_planes(img: ImageBuffer, stage) -> ImageBuffer:
@@ -192,24 +200,26 @@ def encrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> Im
     """permute -> xor_mask -> substitute, on each channel plane.
 
     ks, if given, must be key.keystream(img.pixel_count); it saves
-    deriving the stream again when the caller already has it.
+    deriving the stream again when the caller already has it.  Without it
+    the stream is derived here, and the stages run holding only perm, the
+    mask and the selectors, not k.
     """
-    ks = _keystream_for(img, key, ks)
+    perm, mask, selectors = _keystream_for(img, key, ks)
     return _map_planes(
-        img,
-        lambda v: substitute(xor_mask(permute(v, ks.perm), ks.mask), ks.selectors, key.sboxes),
+        img, lambda v: substitute(xor_mask(permute(v, perm), mask), selectors, key.sboxes)
     )
 
 
 def decrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> ImageBuffer:
     """Exact inverse of encrypt: unsubstitute -> unmask -> unpermute.
 
-    ks, if given, must be key.keystream(img.pixel_count), as for encrypt.
+    ks, if given, must be key.keystream(img.pixel_count), as for encrypt;
+    without it the stages again run holding only perm, mask and selectors.
     """
-    ks = _keystream_for(img, key, ks)
+    perm, mask, selectors = _keystream_for(img, key, ks)
     return _map_planes(
         img,
         lambda v: inverse_permute(
-            xor_mask(inverse_substitute(v, ks.selectors, key.sboxes), ks.mask), ks.perm
+            xor_mask(inverse_substitute(v, selectors, key.sboxes), mask), perm
         ),
     )

@@ -139,15 +139,21 @@ def cmd_analyze_sbox(args) -> int:
 
 
 def cmd_cipher(args) -> int:
-    """encrypt or decrypt, whichever cipher function `args.stage` is."""
+    """encrypt or decrypt, whichever cipher function `args.stage` is.
+
+    Only --emit-keystream derives the stream here, since the dump needs k;
+    otherwise the stage derives it and drops k before it allocates its
+    output.  Either way the process derives one stream.
+    """
     key = parse_key_file(args.key).to_cipher_key()
     img = _read_input_image(args.infile, args.raw)
-    ks = key.keystream(img.pixel_count)
+    ks = None
     if args.emit_keystream:
+        ks = key.keystream(img.pixel_count)
         with open(args.emit_keystream, "w", encoding="utf-8") as f:
             _dump_keystream(ks, f)
     out = args.stage(img, key, ks)
-    del img, ks  # writing needs neither the input nor the 18 bytes a pixel of keystream
+    del img, ks  # writing needs neither the input nor an emitted keystream
     netpbm.write_image(out, args.out)
     return 0
 

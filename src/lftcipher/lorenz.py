@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
 import numbers
 import os
@@ -148,19 +149,21 @@ def _load_kernel():
     """The compiled step loop as a ctypes function, or None.
 
     The shared object is cached per user under
-    ``${XDG_CACHE_HOME:-~/.cache}/lftcipher``, named by a sha256 of the
-    source, the flags and the machine, and published with an atomic
-    rename so concurrent processes never load a partial file.  When that
+    ``${XDG_CACHE_HOME:-~/.cache}/lftcipher``, named by
+    ``importlib.util.source_hash`` of the source, the flags and the machine,
+    and published with an atomic rename so concurrent processes never load
+    a partial file.  The name only has to tell kernel builds apart: the
+    directory is refused when others can write to it, so a cryptographic
+    hash would add nothing, and ``hashlib`` would load OpenSSL's libcrypto
+    (about 3.5 MB resident) into every process that integrates.  When that
     directory cannot be used it is built in a private temporary directory
     that is removed once loaded.
     """
-    import hashlib  # not needed until the first integrate call
-
     try:
         source = _KERNEL_SOURCE.read_bytes()
-        digest = hashlib.sha256(
+        digest = importlib.util.source_hash(
             b"\0".join((source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()))
-        ).hexdigest()
+        ).hex()
         base = os.environ.get("XDG_CACHE_HOME", "")
         if not os.path.isabs(base):  # unset, empty or relative: the XDG default
             base = os.path.expanduser("~/.cache")

@@ -64,19 +64,19 @@ def parse_image(data: bytes, source: str = "<bytes>") -> ImageBuffer:
         raise ImageFormatError(f"{source}: expected single whitespace after maxval at byte {pos}")
     pos += 1
     expected = width * height * channels
-    payload = data[pos:]
-    if len(payload) < expected:
+    found = len(data) - pos  # sized before data[pos:] copies the payload
+    if found < expected:
         raise ImageFormatError(
             f"{source}: truncated payload at byte {pos}: expected {expected} bytes,"
-            f" found {len(payload)}"
+            f" found {found}"
         )
-    if len(payload) > expected:
+    if found > expected:
         raise ImageFormatError(
-            f"{source}: {len(payload) - expected} trailing bytes after pixel payload"
+            f"{source}: {found - expected} trailing bytes after pixel payload"
             f" at byte {pos + expected}"
         )
     try:
-        return ImageBuffer(width, height, channels, payload)
+        return ImageBuffer(width, height, channels, data[pos:])
     except ValueError as e:  # zero dimensions and kin
         raise ImageFormatError(f"{source}: {e}") from None
 
@@ -87,16 +87,25 @@ def read_image(path: str | os.PathLike) -> ImageBuffer:
         return parse_image(f.read(), source=str(path))
 
 
+def _header(img: ImageBuffer) -> bytes:
+    magic = "P5" if img.channels == 1 else "P6"
+    return f"{magic}\n{img.width} {img.height}\n255\n".encode()
+
+
 def encode_image(img: ImageBuffer) -> bytes:
     """Encode as binary PGM (1 channel) or PPM (3 channels)."""
-    magic = b"P5" if img.channels == 1 else b"P6"
-    return magic + f"\n{img.width} {img.height}\n255\n".encode() + img.data
+    return _header(img) + img.data
 
 
 def write_image(img: ImageBuffer, path: str | os.PathLike) -> None:
-    """Write a binary PGM/PPM file; read_image restores it bit-exactly."""
+    """Write a binary PGM/PPM file; read_image restores it bit-exactly.
+
+    The header and the pixels are written apart, so no encoded copy of the
+    image is made.
+    """
     with open(path, "wb") as f:
-        f.write(encode_image(img))
+        f.write(_header(img))
+        f.write(img.data)
 
 
 def read_raw(path: str | os.PathLike, width: int, height: int, channels: int = 1) -> ImageBuffer:

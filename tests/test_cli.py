@@ -199,16 +199,14 @@ class TestEncryptDecrypt:
         loaded = set(proc.stdout.split())
         assert "lftcipher.cipher" in loaded
         assert not loaded & {"lftcipher.metrics", "lftcipher.polyfind", "lftcipher.sbox_analysis"}
+        # naming the cached RK4 kernel must not load OpenSSL's libcrypto
+        assert not loaded & {"hashlib", "_hashlib"}
 
-    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
-    def test_emit_keystream_derives_once(self, tmp_path, keyfile, small_image, command,
-                                         monkeypatch):
+    @staticmethod
+    def _counted_run(monkeypatch, argv):
+        """Run the CLI; return the lorenz.keystream calls it made."""
         from lftcipher import lorenz
 
-        plain = tmp_path / "plain.pgm"
-        main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(plain)])
-        src = small_image if command == "encrypt" else str(plain)
-        main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "ref.pgm")])
         calls = []
         original = lorenz.keystream
 
@@ -216,9 +214,37 @@ class TestEncryptDecrypt:
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(lorenz, "keystream", counting)
-        assert main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "out.pgm"),
-                     "--emit-keystream", str(tmp_path / "ks.txt")]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(lorenz, "keystream", counting)
+            assert main(argv) == 0
+        return calls
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_emit_keystream_derives_once(self, tmp_path, keyfile, small_image, command,
+                                         monkeypatch):
+        plain = tmp_path / "plain.pgm"
+        main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(plain)])
+        src = small_image if command == "encrypt" else str(plain)
+        main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "ref.pgm")])
+        calls = self._counted_run(
+            monkeypatch,
+            [command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "out.pgm"),
+             "--emit-keystream", str(tmp_path / "ks.txt")],
+        )
+        assert len(calls) == 1
+        assert (tmp_path / "out.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_stage_derives_once_without_emit(self, tmp_path, keyfile, small_image, command,
+                                             monkeypatch):
+        plain = tmp_path / "plain.pgm"
+        main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(plain)])
+        src = small_image if command == "encrypt" else str(plain)
+        main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "ref.pgm"),
+              "--emit-keystream", str(tmp_path / "ks.txt")])
+        calls = self._counted_run(
+            monkeypatch, [command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "out.pgm")]
+        )
         assert len(calls) == 1
         assert (tmp_path / "out.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 

@@ -1,4 +1,5 @@
-"""tracemalloc guards on the full-size keystream digest and cipher stages.
+"""tracemalloc guards on the full-size keystream digest, cipher stages and
+netpbm I/O.
 
 numpy reports its data buffers to tracemalloc, so these figures count array
 memory exactly and do not depend on the layout of the malloc heap.
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from lftcipher import ImageBuffer, decrypt, encrypt, lorenz
+from lftcipher.netpbm import ImageFormatError, encode_image, parse_image, write_image
 
 MB = 1 << 20
 SIDE = 1024
@@ -47,3 +49,40 @@ def test_cipher_stage_allocates_two_images_plus_2_mb(test_key, rgb_and_stream, t
     out = stage(img, test_key, ks)
     assert len(out.data) == len(img.data)
     assert tracemalloc.get_traced_memory()[1] - before <= 2 * len(img.data) + 2 * MB
+
+
+@pytest.mark.parametrize("stage", [encrypt, decrypt])
+def test_cipher_stage_without_stream_peaks_at_the_keystream_peak(
+    test_key, rgb_and_stream, traced, stage
+):
+    img = rgb_and_stream[0]
+    lorenz.keystream(test_key.lorenz, img.pixel_count)  # leave first-call imports out
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    lorenz.keystream(test_key.lorenz, img.pixel_count)
+    keystream_peak = tracemalloc.get_traced_memory()[1] - before
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = stage(img, test_key)
+    assert len(out.data) == len(img.data)
+    # k is dropped once digested, so the stage's output never sits beside it
+    assert tracemalloc.get_traced_memory()[1] - before <= keystream_peak + MB // 2
+
+
+def test_parse_rejects_trailing_bytes_before_copying_them(traced):
+    data = b"P5\n16 16\n255\n" + bytes(16 * 16 + 8 * MB)
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    with pytest.raises(ImageFormatError, match="trailing bytes"):
+        parse_image(data)
+    assert tracemalloc.get_traced_memory()[1] - before < MB
+
+
+def test_write_makes_no_encoded_copy(rgb_and_stream, tmp_path, traced):
+    img = rgb_and_stream[0]
+    path = tmp_path / "out.ppm"
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    write_image(img, path)
+    assert tracemalloc.get_traced_memory()[1] - before < MB // 2
+    assert path.read_bytes() == encode_image(img)
