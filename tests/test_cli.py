@@ -205,8 +205,6 @@ class TestEncryptDecrypt:
     @staticmethod
     def _counted_run(monkeypatch, argv):
         """Run the CLI; return the lorenz.keystream calls it made."""
-        from lftcipher import lorenz
-
         calls = []
         original = lorenz.keystream
 
