@@ -81,13 +81,10 @@ class CipherKey:
         cls,
         params: LorenzParams,
         lft: tuple[int, int, int, int] = golden.DEFAULT_LFT,
-        polys: tuple[int, ...] | None = None,
+        polys: tuple[int, ...] = golden.PRIMITIVE_POLY_MASKS,
     ) -> CipherKey:
-        if polys is not None and tuple(polys) == golden.PRIMITIVE_POLY_MASKS:
-            polys = None  # standard list, keep structured provenance
-        masks = golden.PRIMITIVE_POLY_MASKS if polys is None else tuple(polys)
-        boxes = build_family(*lft, polys=polys)
-        return cls(params, tuple(lft), masks, boxes)
+        polys = tuple(polys)
+        return cls(params, tuple(lft), polys, build_family(*lft, polys=polys))
 
     def keystream(self, length: int) -> Keystream:
         return lorenz.keystream(self.lorenz, length, len(self.sboxes))

@@ -4,9 +4,9 @@ Required: x0, y0, z0 (the secret initial conditions).  Optional with
 defaults: a=10, b=28, c=8/3, step=0.01, burn_in=100, lft_a..lft_d
 (32,22,11,8), and polys= a comma-separated list of the 16 primitive
 degree-8 polynomials, each once, in any order, given as hex masks or
-monomial strings.  Blank lines
-and lines starting with # are ignored; unknown or repeated keys are
-rejected with their line number.
+monomial strings; any other degree-8 entry, reducible or not, is reported
+as not primitive.  Blank lines and lines starting with # are ignored;
+unknown or repeated keys are rejected with their line number.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import golden
 from .cipher import CipherKey
-from .gf2n import BinaryPoly, field
+from .gf2n import BinaryPoly
 from .lorenz import LorenzParams
 
 
@@ -71,11 +71,7 @@ def _parse_polys(raw: str, where: str) -> tuple[int, ...]:
             raise KeyFileError(f"{where}: {poly.monomials()} is listed twice")
         if poly.degree != 8:
             raise KeyFileError(f"{where}: {poly.monomials()} does not have degree 8")
-        try:
-            spec = field(poly.bits)
-        except ValueError as e:
-            raise KeyFileError(f"{where}: {e}") from None
-        if not spec.is_primitive:
+        if poly.bits not in golden.PRIMITIVE_POLY_MASKS:
             raise KeyFileError(f"{where}: {poly.monomials()} is not primitive")
         masks.append(poly.bits)
     if len(masks) != 16:

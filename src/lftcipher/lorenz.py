@@ -43,6 +43,9 @@ MAX_KEYSTREAM_LENGTH = 1 << 26
 # elements per step of the blocked digest passes; their 128 KB temporaries are
 # reused from the malloc heap, where 512 KB ones cost fresh page faults
 _BLOCK = 1 << 14
+# the largest double below 1.0: x - floor(x) rounds to exactly 1.0 for
+# -2^-54 < x < 0, and clamping it here keeps k in [0, 1) and in rank order
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 _KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
 # no FMA contraction and no fast-math: either would change the rounding
@@ -349,7 +352,8 @@ def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystr
 
     k is the flat trajectory itself, reduced to its fractional parts in
     place _BLOCK samples at a time, so derive_keystream's buffer is the only
-    full-size float array made beyond it.
+    full-size float array made beyond it.  A fractional part that rounds to
+    1.0 is taken as the largest double below 1.0.
     """
     if not 1 <= length <= MAX_KEYSTREAM_LENGTH:
         raise ValueError(f"length must be in [1, {MAX_KEYSTREAM_LENGTH}], got {length}")
@@ -359,4 +363,5 @@ def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystr
         block = k[start : start + _BLOCK]
         # the fractional part, in [0, 1) for either sign
         block -= np.floor(block, out=whole[: block.size])
+        np.minimum(block, _BELOW_ONE, out=block)
     return derive_keystream(k, sbox_count)

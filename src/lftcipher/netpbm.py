@@ -92,11 +92,6 @@ def _header(img: ImageBuffer) -> bytes:
     return f"{magic}\n{img.width} {img.height}\n255\n".encode()
 
 
-def encode_image(img: ImageBuffer) -> bytes:
-    """Encode as binary PGM (1 channel) or PPM (3 channels)."""
-    return _header(img) + img.data
-
-
 def write_image(img: ImageBuffer, path: str | os.PathLike) -> None:
     """Write a binary PGM/PPM file; read_image restores it bit-exactly.
 

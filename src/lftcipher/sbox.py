@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import golden
-from .gf2n import FieldSpec, field
+from .gf2n import BinaryPoly, FieldSpec, field
 
 _BYTES = np.arange(256)
 
@@ -148,21 +148,7 @@ def build_sbox(params: LftParams) -> LftSBox:
     For c != 0 the pole z* = d/c is sent to a/c (the image of infinity),
     closing the bijection; for c = 0 the map is affine and total.
     """
-    return _build_sbox_in_field(field(params.reduction), params, params)
-
-
-@lru_cache(maxsize=None)
-def _log_arrays(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """spec's log table (log 0 read as 0) and its antilog table repeated
-    to 510 entries, so that the sum of two logs indexes it without a mod."""
-    log = np.array([0 if v is None else v for v in spec.log_table], dtype=np.intp)
-    antilog = np.array(spec.antilog_table * 2, dtype=np.uint8)
-    return log, antilog
-
-
-def _build_sbox_in_field(
-    spec: FieldSpec, params: LftParams, provenance: LftParams | str
-) -> LftSBox:
+    spec = field(params.reduction)
     a, b, c, d = params.a, params.b, params.c, params.d
     det = spec.mul(a, d) ^ spec.mul(b, c)
     if det == 0:
@@ -180,7 +166,16 @@ def _build_sbox_in_field(
         table[den == 0] = spec.div(a, c)
     inverse = np.empty(256, dtype=np.uint8)
     inverse[table] = _BYTES
-    return LftSBox(table.tobytes(), inverse.tobytes(), provenance)
+    return LftSBox(table.tobytes(), inverse.tobytes(), params)
+
+
+@lru_cache(maxsize=None)
+def _log_arrays(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """spec's log table (log 0 read as 0) and its antilog table repeated
+    to 510 entries, so that the sum of two logs indexes it without a mod."""
+    log = np.array([0 if v is None else v for v in spec.log_table], dtype=np.intp)
+    antilog = np.array(spec.antilog_table * 2, dtype=np.uint8)
+    return log, antilog
 
 
 def _times_all_bytes(k: int, log: np.ndarray, antilog: np.ndarray) -> np.ndarray:
@@ -193,27 +188,22 @@ def _times_all_bytes(k: int, log: np.ndarray, antilog: np.ndarray) -> np.ndarray
 
 
 def build_family(
-    a: int, b: int, c: int, d: int, polys: tuple[int, ...] | None = None
+    a: int, b: int, c: int, d: int, polys: tuple[int, ...] = golden.PRIMITIVE_POLY_MASKS
 ) -> tuple[LftSBox, ...]:
-    """One S-box per primitive polynomial for fixed (a, b, c, d).
+    """One S-box per polynomial of `polys` for fixed (a, b, c, d), in that order.
 
-    With the default polynomial list each box carries LftParams provenance;
-    a custom list gets string provenance naming the reduction polynomial.
+    Each mask must be one of the 16 primitive degree-8 polynomials of the
+    golden list; each box carries LftParams provenance whose poly_index
+    names its polynomial there.
     """
     boxes: list[LftSBox] = []
-    if polys is None:
-        for i in range(1, len(golden.PRIMITIVE_POLY_MASKS) + 1):
-            boxes.append(build_sbox(LftParams(a, b, c, d, poly_index=i)))
-        return tuple(boxes)
-    params = LftParams(a, b, c, d)
     for mask in polys:
-        spec = field(mask)
-        if spec.n != 8:
-            raise ValueError(f"{spec.reduction.monomials()} does not have degree 8")
-        if not spec.is_primitive:
-            raise ValueError(f"{spec.reduction.monomials()} is not primitive")
-        provenance = f"lft({a},{b},{c},{d}) mod {spec.reduction.to_hex()}"
-        boxes.append(_build_sbox_in_field(spec, params, provenance))
+        if mask not in golden.PRIMITIVE_POLY_MASKS:
+            poly = BinaryPoly(mask)
+            problem = "does not have degree 8" if poly.degree != 8 else "is not primitive"
+            raise ValueError(f"{poly.monomials()} {problem}")
+        index = golden.PRIMITIVE_POLY_MASKS.index(mask) + 1
+        boxes.append(build_sbox(LftParams(a, b, c, d, poly_index=index)))
     return tuple(boxes)
 
 

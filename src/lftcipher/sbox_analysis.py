@@ -3,8 +3,9 @@
 All metrics are exhaustive, never sampled: nonlinearity and linear
 probability come from full Walsh spectra, differential probability from
 every input pair, SAC/BIC from all input-bit flips.  Each box is measured
-once, and every criterion reads that one measurement: about 0.5-0.7 ms
-per box on a 2 vCPU Xeon (Python 3.11.7, numpy 2.4.6).
+once, about 0.5-0.7 ms per box on a 2 vCPU Xeon (Python 3.11.7, numpy
+2.4.6), and `analyze`, `linear_probability` and `differential_probability`
+all read that one measurement.
 """
 
 from __future__ import annotations
@@ -125,27 +126,6 @@ def _measure(table: np.ndarray) -> StrengthReport:
     )
 
 
-def nonlinearity(s) -> tuple[list[int], float]:
-    """Per-coordinate nonlinearity 2^7 - max|W|/2 and the mean over the 8."""
-    report = _measured(s)
-    return list(report.nl_per_coordinate), report.nl_average
-
-
-def sac_matrix(s) -> tuple[np.ndarray, float]:
-    """Entry (i, j): fraction of inputs where flipping input bit i flips
-    output bit j; also the mean over all 64 entries."""
-    table = _as_table(s)
-    d = table ^ table[_FLIPS]  # d[i, x] = s(x) + s(x with bit i flipped)
-    m = (d[:, :, None] >> np.arange(8) & 1).mean(axis=1)
-    return m, float(m.mean())
-
-
-def bic(s) -> tuple[float, float]:
-    """Mean nonlinearity and mean SAC over XORs of all output-bit pairs."""
-    report = _measured(s)
-    return report.bic_nl, report.bic_sac
-
-
 def linear_probability(s) -> tuple[int, float]:
     """Max match count over nonzero mask pairs and max bias |count/256 - 1/2|.
 
@@ -201,5 +181,6 @@ class StrengthReport:
 def analyze(s) -> StrengthReport:
     """Compute all six criteria for one bijective 8x8 S-box.  A table is
     measured once while it stays among the 16 most recently measured, and
-    the other criterion functions read the same measurement."""
+    `linear_probability` and `differential_probability` read the same
+    measurement."""
     return _measured(s)

@@ -31,7 +31,7 @@ from lftcipher.metrics import adjacency_correlation, chi_square_uniform, entropy
 from lftcipher.netpbm import read_image, write_image
 from lftcipher.polyfind import count_irreducible, count_primitive, enumerate_classified
 from lftcipher.sbox import build_family, validate_table
-from lftcipher.sbox_analysis import analyze, differential_probability, nonlinearity
+from lftcipher.sbox_analysis import analyze, differential_probability
 from lftcipher.keyfile import parse_key_text
 
 
@@ -113,8 +113,8 @@ def test_criterion_04_reference_table_audit_and_strength(family):
         strength_ok &= 0.45 <= rep.sac_mean <= 0.55
     spec = field(0x11D)
     inv_map = bytes([0] + [spec.inv(a) for a in range(1, 256)])
-    per, _ = nonlinearity(inv_map)
-    inversion_ok = per == [112] * 8 and differential_probability(inv_map) == 4 / 256
+    inversion_ok = (analyze(inv_map).nl_per_coordinate == (112,) * 8
+                    and differential_probability(inv_map) == 4 / 256)
     ok = audit_ok and strength_ok and inversion_ok and slowest < 2.0
     report(4, "reference table audit + strength", ok,
            f"duplicates {sorted(audit.duplicates)}, missing {audit.missing}, "

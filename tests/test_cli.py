@@ -365,6 +365,14 @@ class TestKeystreamCommand:
                      "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
+    def test_decaying_key_dumps_past_a_fraction_of_one(self, tmp_path, capsys):
+        # this key's k reaches x - floor(x) = 1.0 at index 52,081 unless clamped
+        key = tmp_path / "decay.txt"
+        key.write_text(KEY_TEXT + "b=0.5\n")
+        assert main(["keystream", "--key", str(key), "--length", "65536",
+                     "--out", str(tmp_path / "ks.tsv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_length_beyond_bound(self, keyfile, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("integrate reached")

@@ -93,6 +93,11 @@ class TestErrors:
         with pytest.raises(KeyFileError, match="not primitive"):
             parse_key_text(MINIMAL + f"polys={masks},0x11B\n")
 
+    def test_reducible_poly_is_not_primitive(self):
+        masks = ",".join(f"0x{m:X}" for m in PRIMITIVE_POLY_MASKS[:15])
+        with pytest.raises(KeyFileError, match=r":4: x\^8\+1 is not primitive$"):
+            parse_key_text(MINIMAL + f"polys={masks},0x101\n")
+
     def test_wrong_degree_poly(self):
         masks = ",".join(f"0x{m:X}" for m in PRIMITIVE_POLY_MASKS[:15])
         with pytest.raises(KeyFileError, match="degree 8"):

@@ -298,6 +298,15 @@ class TestFractional:
         assert k.min() >= 0.0
         assert k.max() < 1.0
 
+    def test_fraction_rounding_to_one_is_clamped(self):
+        # with b = 0.5 the trajectory decays to the origin through negative x;
+        # x - floor(x) first rounds to 1.0 at index 52,081, where x ~ -5.5e-17
+        p = LorenzParams(1.1, 2.3, 3.7, b=0.5)
+        k = keystream(p, 65536).k
+        assert k.max() < 1.0
+        assert k[52_081] == np.nextafter(1.0, 0.0)
+        assert np.array_equal(k[:52_081], keystream(p, 52_081).k)
+
 
 class TestSingleBuffer:
     """k is the flat (count, 3) trajectory, cut to length, with no copy."""

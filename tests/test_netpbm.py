@@ -4,7 +4,6 @@ import pytest
 from lftcipher.cipher import ImageBuffer
 from lftcipher.netpbm import (
     ImageFormatError,
-    encode_image,
     parse_image,
     read_image,
     read_raw,
@@ -78,9 +77,10 @@ class TestParsing:
         with pytest.raises(ImageFormatError, match="positive"):
             parse_image(b"P5\n0 1\n255\n")
 
-    def test_encode_layout(self):
-        img = ImageBuffer(2, 1, 1, b"\x10\x20")
-        assert encode_image(img) == b"P5\n2 1\n255\n\x10\x20"
+    def test_encode_layout(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        write_image(ImageBuffer(2, 1, 1, b"\x10\x20"), path)
+        assert path.read_bytes() == b"P5\n2 1\n255\n\x10\x20"
 
 
 class TestRaw:

@@ -163,8 +163,21 @@ class TestBuildFamily:
         assert "x^8" in str(exc.value)
 
     def test_custom_poly_list_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not primitive"):
             build_family(*DEFAULT_LFT, polys=(0x11B,) * 16)  # not primitive
+
+    def test_reducible_poly_is_not_primitive(self):
+        with pytest.raises(ValueError, match=r"^x\^8\+1 is not primitive$"):
+            build_family(*DEFAULT_LFT, polys=(0x101,))
+
+    def test_permuted_polys_reorder_the_default_family(self, family):
+        order = np.random.default_rng(12).permutation(16)
+        permuted = build_family(*DEFAULT_LFT, polys=tuple(PRIMITIVE_POLY_MASKS[i] for i in order))
+        assert [box.table for box in permuted] == [family[i].table for i in order]
+        assert [box.inverse for box in permuted] == [family[i].inverse for i in order]
+        assert [box.provenance for box in permuted] == [
+            LftParams(*DEFAULT_LFT, poly_index=int(i) + 1) for i in order
+        ]
 
     def test_provenance_poly_index(self, family):
         for i, box in enumerate(family, start=1):

@@ -13,11 +13,8 @@ from lftcipher.sbox_analysis import (
     _half_ddt,
     _spectra,
     analyze,
-    bic,
     differential_probability,
     linear_probability,
-    nonlinearity,
-    sac_matrix,
 )
 
 IDENTITY = bytes(range(256))
@@ -87,15 +84,15 @@ class TestWalshMachinery:
 
 class TestNonlinearity:
     def test_identity_coordinates_are_linear(self):
-        per, avg = nonlinearity(IDENTITY)
-        assert per == [0] * 8
-        assert avg == 0.0
+        report = analyze(IDENTITY)
+        assert report.nl_per_coordinate == (0,) * 8
+        assert report.nl_average == 0.0
 
     def test_inversion_map_is_112_per_coordinate(self):
         inv = inversion_box()
-        per, avg = nonlinearity(inv)
-        assert per == [112] * 8
-        assert avg == 112.0
+        report = analyze(inv)
+        assert report.nl_per_coordinate == (112,) * 8
+        assert report.nl_average == 112.0
         # cross-check one coordinate against the definition-level oracle
         f = [inv[x] & 1 for x in range(256)]
         max_abs = max(abs(direct_walsh(f, a)) for a in range(256))
@@ -104,44 +101,31 @@ class TestNonlinearity:
     def test_family_per_coordinate(self, family):
         # canonical fractional transforms are affine-equivalent to inversion
         for box in family:
-            per, _ = nonlinearity(box)
-            assert per == [112] * 8
+            assert analyze(box).nl_per_coordinate == (112,) * 8
 
 
 class TestSac:
     def test_identity_pattern(self):
-        m, mean = sac_matrix(IDENTITY)
-        assert np.array_equal(m, np.eye(8))
-        assert mean == pytest.approx(1 / 8)
+        # flipping input bit i flips output bit i only
+        assert analyze(IDENTITY).sac_mean == 1 / 8
 
     def test_random_bijections_near_half(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            _, mean = sac_matrix(random_bijection(rng))
-            assert 0.45 <= mean <= 0.55
+            assert 0.45 <= analyze(random_bijection(rng)).sac_mean <= 0.55
 
     def test_family_means(self, family):
         for box in family:
-            _, mean = sac_matrix(box)
-            assert 0.45 <= mean <= 0.55
-
-    def test_matches_per_cell_count(self, family):
-        rng = np.random.default_rng(10)
-        for t in (family[1].table, random_bijection(rng), inversion_box()):
-            m, _ = sac_matrix(t)
-            for i in range(8):
-                d = [t[x] ^ t[x ^ 1 << i] for x in range(256)]
-                assert m[i].tolist() == [sum(v >> j & 1 for v in d) / 256 for j in range(8)]
+            assert 0.45 <= analyze(box).sac_mean <= 0.55
 
 
 class TestBic:
     def test_identity_is_linear(self):
-        bic_nl, _ = bic(IDENTITY)
-        assert bic_nl == 0.0
+        assert analyze(IDENTITY).bic_nl == 0.0
 
     def test_inversion_map_against_pair_oracle(self):
         inv = inversion_box()
-        bic_nl, bic_sac = bic(inv)
+        report = analyze(inv)
         oracle_nls = []
         oracle_sacs = []
         for j in range(8):
@@ -151,9 +135,9 @@ class TestBic:
                 oracle_nls.append(128 - max_abs // 2)
                 for i in range(8):
                     oracle_sacs.append(sum(g[x] ^ g[x ^ 1 << i] for x in range(256)) / 256)
-        assert bic_nl == pytest.approx(np.mean(oracle_nls))
-        assert bic_sac == np.mean(oracle_sacs)
-        assert 0.45 <= bic_sac <= 0.55
+        assert report.bic_nl == pytest.approx(np.mean(oracle_nls))
+        assert report.bic_sac == np.mean(oracle_sacs)
+        assert 0.45 <= report.bic_sac <= 0.55
 
 
 class TestLinearProbability:
@@ -279,11 +263,11 @@ def test_analyze_matches_definitions_on_random_bijections(perm, form):
     s = FORMS[form](perm)
     expected = definition_report(np.array(perm, dtype=np.int64))
     assert analyze(s) == expected
-    assert sac_matrix(s)[1] == expected.sac_mean
 
 
 class TestSharedResult:
-    """Each table is measured once; every criterion reads that measurement."""
+    """Each table is measured once; analyze and the LP/DP readers read that
+    measurement."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -303,8 +287,9 @@ class TestSharedResult:
         reports = [analyze(box) for box in family]
         text = cryptanalysis_report(family)
         for box, report in zip(family, reports):
-            assert nonlinearity(box) == (list(report.nl_per_coordinate), report.nl_average)
-            assert bic(box) == (report.bic_nl, report.bic_sac)
+            assert analyze(box) is report
+            assert linear_probability(box) == (report.lp_count, report.lp_bias)
+            assert differential_probability(box) == report.dp
         assert kernel_calls == [box.table for box in family]
         assert all((r.lp_count, r.lp_bias, r.dp) == (144, 0.0625, 4 / 256) for r in reports)
         assert "2^-4.00" in text and "2^-6.00" in text
@@ -315,13 +300,12 @@ class TestSharedResult:
                   np.frombuffer(box.table, dtype=np.uint8), load_external_sbox(box.table)):
             assert linear_probability(s) == (144, 0.0625)
             assert differential_probability(s) == 4 / 256
-            assert nonlinearity(s) == ([112] * 8, 112.0)
-            assert analyze(s).nl_min == 112
+            assert analyze(s).nl_per_coordinate == (112,) * 8
         assert kernel_calls == [box.table]
 
     def test_invalid_table_raises_before_lookup(self, kernel_calls):
         before = sbox_analysis._found.cache_info()
-        for fn in (analyze, nonlinearity, bic, linear_probability, differential_probability):
+        for fn in (analyze, linear_probability, differential_probability):
             with pytest.raises(SBoxValidationError):
                 fn([0] * 256)
         assert sbox_analysis._found.cache_info() == before
