@@ -8,7 +8,7 @@ from .golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
 from .keyfile import KeyFile, parse_key_file, parse_key_text
 from .lorenz import Keystream, LorenzParams, keystream
 from .netpbm import read_image, read_raw, write_image
-from .sbox import LftParams, LftSBox, build_family, build_sbox, invert_sbox, load_external_sbox
+from .sbox import LftParams, LftSBox, build_family, build_sbox
 
 __version__ = "0.1.0"
 
@@ -32,9 +32,7 @@ __all__ = [
     "decrypt",
     "encrypt",
     "field",
-    "invert_sbox",
     "keystream",
-    "load_external_sbox",
     "parse_key_file",
     "parse_key_text",
     "read_image",

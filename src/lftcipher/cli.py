@@ -19,6 +19,7 @@ from .netpbm import ImageFormatError
 from .sbox import DegenerateLftError, SBoxFormatError, SBoxValidationError
 
 _DUMP_BLOCK = 1 << 16  # keystream rows formatted per write: bounds the text held at once
+_MAX_SBOX_FILE = 1 << 16  # bytes; a text table needs about 1 KiB
 
 _ERROR_CODES: tuple[tuple[type, str], ...] = (
     (KeyFileError, "keyfile"),
@@ -105,7 +106,7 @@ def cmd_gen_sbox(args) -> int:
     box = sbox.build_sbox(params)
     if args.format == "binary":
         with open(args.out, "wb") as f:
-            f.write(box.to_bytes())
+            f.write(box.table)
     else:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(box.to_text())
@@ -114,15 +115,17 @@ def cmd_gen_sbox(args) -> int:
 
 def _load_sbox_file(path: str) -> sbox.LftSBox:
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = f.read(_MAX_SBOX_FILE + 1)
+    if len(blob) > _MAX_SBOX_FILE:
+        raise SBoxFormatError(f"{path}: larger than {_MAX_SBOX_FILE} bytes")
     try:
         text = blob.decode("ascii")
     except UnicodeDecodeError:
         text = None
     if text is not None and any(ch.isspace() for ch in text.strip()):
-        return sbox.load_external_sbox(bytes(sbox.parse_table_text(text)))
+        return sbox.LftSBox(sbox.parse_table_text(text))
     if len(blob) == 256:
-        return sbox.load_external_sbox(blob)
+        return sbox.LftSBox(blob)
     raise SBoxFormatError(f"{path}: neither a 16x16 text table nor 256 raw bytes")
 
 

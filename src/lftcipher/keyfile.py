@@ -28,6 +28,7 @@ class KeyFileError(ValueError):
 _FLOAT_KEYS = ("x0", "y0", "z0", "a", "b", "c", "step")
 _INT_KEYS = ("burn_in", "lft_a", "lft_b", "lft_c", "lft_d")
 _ALL_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"polys"}
+_MAX_KEY_FILE = 1 << 16  # bytes; a full key file needs under 1 KiB
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,14 @@ def parse_key_text(text: str, source: str = "<memory>") -> KeyFile:
 
 
 def parse_key_file(path: str | os.PathLike) -> KeyFile:
-    """Read and parse a key file."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError as e:
-            raise KeyFileError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    """Read and parse a key file of at most _MAX_KEY_FILE bytes."""
+    with open(path, "rb") as f:
+        blob = f.read(_MAX_KEY_FILE + 1)
+    if len(blob) > _MAX_KEY_FILE:
+        raise KeyFileError(f"{path}: larger than {_MAX_KEY_FILE} bytes")
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise KeyFileError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_key_text(text, source=str(path))
 

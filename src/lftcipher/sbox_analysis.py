@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sbox import LftSBox, SBoxValidationError, validate_table
+from .sbox import LftSBox
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 _PARITY = _POPCOUNT & 1
@@ -49,17 +49,6 @@ def _half_pairs() -> tuple[np.ndarray, np.ndarray]:
     return flat, offsets
 
 
-def _as_table(s) -> np.ndarray:
-    """Coerce an LftSBox / bytes / sequence to a validated bijective uint8 table."""
-    if isinstance(s, LftSBox):  # validated when the box was made
-        return np.frombuffer(s.table, dtype=np.uint8)
-    vals = list(s)
-    audit = validate_table(vals)
-    if not audit.bijective:
-        raise SBoxValidationError(audit)
-    return np.array(vals, dtype=np.uint8)
-
-
 @functools.lru_cache(maxsize=16)  # the boxes of one family
 def _found(key: bytes) -> StrengthReport:
     """The measurement of the table with bytes `key`."""
@@ -67,9 +56,10 @@ def _found(key: bytes) -> StrengthReport:
 
 
 def _measured(s) -> StrengthReport:
-    """The measurement of the validated table of s, taken once per table
-    while it stays among the 16 most recently measured ones."""
-    return _found(_as_table(s).tobytes())
+    """The measurement of the table of s, an LftSBox or a raw table that
+    LftSBox checks, taken once per table while it stays among the 16 most
+    recently measured ones."""
+    return _found((s if isinstance(s, LftSBox) else LftSBox(s)).table)
 
 
 def _spectra(table: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Each lftcipher module uses only the public names of the others."""
+"""Each lftcipher module uses only the public names of the others, and every
+name the package exports resolves."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,8 @@ def test_detects_both_forms():
         "from lftcipher.sbox import _lft_table",
         "lorenz._load_kernel",
     ]
+
+
+@pytest.mark.parametrize("name", lftcipher.__all__)
+def test_every_export_resolves(name):
+    assert getattr(lftcipher, name) is not None

@@ -13,9 +13,9 @@ from lftcipher.cipher import (
     xor_mask,
 )
 from lftcipher.metrics import entropy, npcr_uaci
-from lftcipher.sbox import build_family, load_external_sbox
+from lftcipher.sbox import LftSBox, build_family
 
-IDENTITY_FAMILY = tuple(load_external_sbox(bytes(range(256))) for _ in range(16))
+IDENTITY_FAMILY = (LftSBox(bytes(range(256))),) * 16
 
 
 class TestImageBuffer:
@@ -112,7 +112,7 @@ class TestSubstitute:
         # published reference table's first cell
         table = list(range(256))
         table[0], table[237] = 237, 0
-        box = load_external_sbox(bytes(table))
+        box = LftSBox(table)
         out = substitute(np.array([0], dtype=np.uint8), np.array([0]), (box,))
         assert out[0] == 237
 

@@ -1,16 +1,18 @@
-"""tracemalloc guards on the full-size keystream digest, cipher stages and
-netpbm I/O.
+"""tracemalloc guards on the full-size keystream digest, cipher stages,
+netpbm I/O and the reads of key and S-box files.
 
 numpy reports its data buffers to tracemalloc, so these figures count array
 memory exactly and do not depend on the layout of the malloc heap.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lftcipher import ImageBuffer, decrypt, encrypt, lorenz
+from lftcipher.cli import main
 from lftcipher.netpbm import ImageFormatError, parse_image, write_image
 
 MB = 1 << 20
@@ -86,3 +88,24 @@ def test_write_makes_no_encoded_copy(rgb_and_stream, tmp_path, traced):
     write_image(img, path)
     assert tracemalloc.get_traced_memory()[1] - before < MB // 2
     assert path.read_bytes() == b"P6\n1024 1024\n255\n" + img.data
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze-sbox", "--in"], "sbox-format"),
+    (["encrypt", "--in", "plain.pgm", "--out", "ct.pgm", "--key"], "keyfile"),
+], ids=["sbox-file", "key-file"])
+def test_oversized_input_file_is_rejected_after_a_bounded_read(
+    tmp_path, capsys, traced, argv, code
+):
+    big = tmp_path / "big"
+    big.touch()
+    os.truncate(big, 64 * MB)  # sparse: no disk blocks behind it
+    argv = argv + [str(big)]
+    main(argv)  # leave first-call imports out
+    capsys.readouterr()
+    tracemalloc.reset_peak()
+    assert main(argv) == 1
+    assert tracemalloc.get_traced_memory()[1] < MB
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{code}:") and err.count("\n") == 1
+    assert "larger than 65536 bytes" in err

@@ -1,4 +1,5 @@
-"""Property tests for the keystream digest and the cipher stages.
+"""Property tests for the keystream digest, the cipher stages and the
+S-box constructor.
 
 The references are the straightforward formulations the fast code must
 match bit for bit: numpy's stable argsort, the int64 floor/mod formulas
@@ -21,6 +22,7 @@ from lftcipher.cipher import (
     xor_mask,
 )
 from lftcipher.lorenz import derive_keystream, keystream
+from lftcipher.sbox import LftSBox, SBoxFormatError, SBoxValidationError
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
 # values whose packed sort keys share their high part, or that compare equal
@@ -95,3 +97,23 @@ def test_cipher_is_stage_composition_on_flattened_planes(img):
     ])
     assert encrypt(img, KEY) == unflatten(enc, img.width, img.height, img.channels)
     assert decrypt(img, KEY) == unflatten(dec, img.width, img.height, img.channels)
+
+
+@given(st.permutations(range(256)))
+def test_sbox_inverse_composes_to_identity_both_ways(perm):
+    box = LftSBox(perm)
+    table, inverse = np.frombuffer(box.table, np.uint8), np.frombuffer(box.inverse, np.uint8)
+    assert np.array_equal(table, perm)
+    assert np.array_equal(inverse[table], np.arange(256))
+    assert np.array_equal(table[inverse], np.arange(256))
+
+
+entries = st.one_of(st.integers(-300, 300), st.none(), st.floats(), st.text(max_size=3))
+
+
+@given(st.one_of(st.lists(entries, max_size=300), st.lists(entries, min_size=256, max_size=256)))
+def test_sbox_rejects_malformed_lists_with_its_own_errors(raw):
+    try:
+        LftSBox(raw)
+    except (SBoxFormatError, SBoxValidationError):
+        pass

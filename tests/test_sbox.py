@@ -15,9 +15,6 @@ from lftcipher.sbox import (
     build_family,
     build_sbox,
     format_table_text,
-    invert_sbox,
-    invert_table,
-    load_external_sbox,
     parse_table_text,
     reference_audit,
     validate_table,
@@ -104,6 +101,17 @@ class TestLftParams:
         with pytest.raises(ValueError):
             LftParams(1, 0, 0, 1, poly_index=17)
 
+    @pytest.mark.parametrize("bad", [1.5, 32.0, True, "32"])
+    def test_non_integers_name_the_field(self, bad):
+        with pytest.raises(ValueError, match=f"a must be an integer, got {bad!r}"):
+            LftParams(bad, 22, 11, 8)
+        with pytest.raises(ValueError, match="poly_index must be an integer"):
+            LftParams(*DEFAULT_LFT, poly_index=bad)
+
+    def test_numpy_integers_build_the_default_table(self):
+        params = LftParams(np.uint8(32), *DEFAULT_LFT[1:], poly_index=np.int64(1))
+        assert build_sbox(params).table == build_sbox(LftParams(*DEFAULT_LFT)).table
+
     def test_reduction_lookup(self):
         assert LftParams(1, 0, 0, 1, poly_index=1).reduction == 0x11D
         assert LftParams(1, 0, 0, 1, poly_index=16).reduction == 0x1A9
@@ -186,29 +194,34 @@ class TestBuildFamily:
 
 class TestInvert:
     def test_invert_identity(self):
-        box = load_external_sbox(IDENTITY)
-        assert invert_sbox(box).table == IDENTITY
+        assert LftSBox(IDENTITY).inverse == IDENTITY
 
     def test_double_inversion_is_original(self, family):
         for box in family[:4]:
-            assert invert_sbox(invert_sbox(box)) == box
+            assert LftSBox(LftSBox(box.table).inverse).inverse == box.table
 
     def test_composition_is_identity(self, family):
         for box in family:
-            inv = invert_sbox(box)
             for v in range(256):
-                assert inv.table[box.table[v]] == v
+                assert box.inverse[box.table[v]] == v
+                assert box.table[box.inverse[v]] == v
+
+    def test_inverse_is_not_compared(self, family):
+        box = family[3]
+        same = LftSBox(box.table, box.provenance)
+        assert same == box and hash(same) == hash(box)
+        assert "inverse" not in repr(box)
 
     def test_invert_reference_table_reports_duplicates(self):
         with pytest.raises(SBoxValidationError) as exc:
-            invert_table(REFERENCE_SBOX)
+            LftSBox(REFERENCE_SBOX)
         assert 23 in exc.value.audit.duplicates
         assert 157 in exc.value.audit.duplicates
 
 
 class TestValidateAndLoad:
     def test_identity_is_valid(self):
-        assert load_external_sbox(IDENTITY).provenance == "external"
+        assert LftSBox(IDENTITY).provenance == "external"
 
     def test_all_zero_report(self):
         audit = validate_table([0] * 256)
@@ -224,18 +237,26 @@ class TestValidateAndLoad:
 
     def test_wrong_length_is_format_error(self):
         with pytest.raises(SBoxFormatError):
-            load_external_sbox(bytes(255))
+            LftSBox(bytes(255))
 
     def test_out_of_range_entries_are_format_errors(self):
         for bad in (256, -1, 2**70):
             with pytest.raises(SBoxFormatError, match=f"entry {bad} out of byte range"):
                 validate_table([0] * 255 + [bad])
             with pytest.raises(SBoxFormatError):
-                invert_table([bad] + list(range(1, 256)))
+                LftSBox([bad] + list(range(1, 256)))
 
     def test_non_integer_entries_are_format_errors(self):
         with pytest.raises(SBoxFormatError):
             validate_table([0.5] * 256)
+        for bad in ([None] * 256, [None] + list(range(1, 256)), ["a"] + list(range(1, 256))):
+            with pytest.raises(SBoxFormatError, match="entries must be integers"):
+                LftSBox(bad)
+
+    def test_tables_of_other_shapes_are_format_errors(self):
+        for bad in (np.zeros((256, 2), int), np.arange(256).reshape(16, 16)):
+            with pytest.raises(SBoxFormatError, match="expected 256 entries in one row"):
+                LftSBox(bad)
 
     def test_audit_same_for_every_input_type(self):
         ref = list(REFERENCE_SBOX)
@@ -246,7 +267,7 @@ class TestValidateAndLoad:
 
     def test_non_bijective_raises_with_audit(self):
         with pytest.raises(SBoxValidationError) as exc:
-            load_external_sbox(bytes(256))
+            LftSBox(bytes(256))
         assert exc.value.audit.duplicates == {0: 256}
 
 
@@ -295,12 +316,7 @@ class TestGoldenAssets:
 class TestLftSBoxInvariants:
     def test_rejects_non_bijective_table(self):
         with pytest.raises(SBoxValidationError):
-            LftSBox(bytes(256), bytes(256))
-
-    def test_rejects_inconsistent_inverse(self):
-        shifted = bytes((v + 1) % 256 for v in range(256))
-        with pytest.raises(ValueError):
-            LftSBox(IDENTITY, shifted)
+            LftSBox(bytes(256))
 
     def test_poles_unique_when_c_nonzero(self, family):
         for box in family:

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from lftcipher import sbox_analysis
 from lftcipher.gf2n import field
 from lftcipher.metrics import cryptanalysis_report
-from lftcipher.sbox import SBoxValidationError, load_external_sbox
+from lftcipher.sbox import LftSBox, SBoxFormatError, SBoxValidationError
 from lftcipher.sbox_analysis import (
     StrengthReport,
-    _as_table,
     _half_ddt,
     _spectra,
     analyze,
@@ -184,7 +183,7 @@ class TestDifferentialProbability:
 
     def test_ddt_rows_sum_to_256(self, family):
         # each row counts the 128 unordered pairs {x, x ^ dx} once, half of 256
-        half = _half_ddt(_as_table(family[0]))
+        half = _half_ddt(np.frombuffer(family[0].table, np.uint8))
         assert half.shape == (255, 256)
         assert np.all(half.sum(axis=1) == 128)
 
@@ -203,7 +202,7 @@ class TestDifferentialProbability:
         rng = np.random.default_rng(3)
         for t in (family[2].table, random_bijection(rng), IDENTITY, inversion_box()):
             vals = np.frombuffer(t, dtype=np.uint8).astype(np.int64)
-            assert np.array_equal(2 * _half_ddt(_as_table(t)), per_dx_ddt(vals)[1:])
+            assert np.array_equal(2 * _half_ddt(np.frombuffer(t, np.uint8)), per_dx_ddt(vals)[1:])
 
     def test_inverse_box_has_same_dp(self, family):
         rng = np.random.default_rng(7)
@@ -250,7 +249,7 @@ def definition_report(table: np.ndarray) -> StrengthReport:
 
 
 FORMS = {
-    "LftSBox": lambda perm: load_external_sbox(bytes(perm)),
+    "LftSBox": LftSBox,
     "bytes": bytes,
     "list": list,
     "ndarray": np.array,
@@ -297,11 +296,18 @@ class TestSharedResult:
     def test_equal_tables_from_different_objects_hit(self, family, kernel_calls):
         box = family[4]
         for s in (box, bytes(box.table), list(box.table),
-                  np.frombuffer(box.table, dtype=np.uint8), load_external_sbox(box.table)):
+                  np.frombuffer(box.table, dtype=np.uint8), LftSBox(box.table)):
             assert linear_probability(s) == (144, 0.0625)
             assert differential_probability(s) == 4 / 256
             assert analyze(s).nl_per_coordinate == (112,) * 8
         assert kernel_calls == [box.table]
+
+    @pytest.mark.parametrize("bad", [[None] * 256, np.zeros((256, 2), int)],
+                             ids=["none-entries", "two-columns"])
+    def test_malformed_table_is_format_error(self, kernel_calls, bad):
+        with pytest.raises(SBoxFormatError):
+            analyze(bad)
+        assert kernel_calls == []
 
     def test_invalid_table_raises_before_lookup(self, kernel_calls):
         before = sbox_analysis._found.cache_info()
@@ -356,6 +362,6 @@ class TestAnalyze:
 class TestAcceptedExternalBoxes:
     def test_loaded_box_analyzable(self):
         rng = np.random.default_rng(8)
-        box = load_external_sbox(random_bijection(rng))
+        box = LftSBox(random_bijection(rng))
         rep = analyze(box)
         assert rep.dp < 1.0
