@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import golden
 from .cipher import CipherKey
 from .gf2n import BinaryPoly
-from .lorenz import LorenzParams
+from .lorenz import MAX_BURN_IN, LorenzParams
 
 
 class KeyFileError(ValueError):
@@ -26,9 +26,10 @@ class KeyFileError(ValueError):
 
 
 _FLOAT_KEYS = ("x0", "y0", "z0", "a", "b", "c", "step")
-_INT_KEYS = ("burn_in", "lft_a", "lft_b", "lft_c", "lft_d")
+_INT_KEYS = {"burn_in": MAX_BURN_IN, "lft_a": 255, "lft_b": 255, "lft_c": 255, "lft_d": 255}
 _ALL_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"polys"}
 _MAX_KEY_FILE = 1 << 16  # bytes; a full key file needs under 1 KiB
+_ECHO = 40  # characters of a name, value or line that an error message repeats
 
 
 @dataclass(frozen=True)
@@ -44,34 +45,46 @@ class KeyFile:
         return CipherKey.create(self.lorenz, self.lft, self.polys)
 
 
+def _echo(text: str) -> str:
+    """repr of text, cut after _ECHO characters, so that hostile input
+    still gives one short error line."""
+    if len(text) > _ECHO:
+        return f"{text[:_ECHO]!r}..."
+    return repr(text)
+
+
 def _parse_float(raw: str, where: str) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise KeyFileError(f"{where}: cannot parse {raw!r} as a number") from None
+        raise KeyFileError(f"{where}: cannot parse {_echo(raw)} as a number") from None
     if not math.isfinite(v):
-        raise KeyFileError(f"{where}: value must be finite, got {raw!r}")
+        raise KeyFileError(f"{where}: value must be finite, got {_echo(raw)}")
     return v
 
 
-def _parse_int(raw: str, where: str) -> int:
+def _parse_int(name: str, raw: str, where: str) -> int:
     try:
-        return int(raw, 0)
+        v = int(raw, 0)
     except ValueError:
-        raise KeyFileError(f"{where}: cannot parse {raw!r} as an integer") from None
+        raise KeyFileError(f"{where}: cannot parse {_echo(raw)} as an integer") from None
+    if not 0 <= v <= _INT_KEYS[name]:
+        raise KeyFileError(f"{where}: {name} must be in [0, {_INT_KEYS[name]}], got {_echo(raw)}")
+    return v
 
 
 def _parse_polys(raw: str, where: str) -> tuple[int, ...]:
     masks = []
     for tok in raw.split(","):
+        tok = tok.strip()
         try:
-            poly = BinaryPoly.parse(tok.strip())
-        except ValueError as e:
-            raise KeyFileError(f"{where}: {e}") from None
+            poly = BinaryPoly.parse(tok)
+        except ValueError:
+            raise KeyFileError(f"{where}: cannot parse {_echo(tok)} as a polynomial") from None
+        if poly.degree != 8:
+            raise KeyFileError(f"{where}: {_echo(tok)} does not have degree 8")
         if poly.bits in masks:
             raise KeyFileError(f"{where}: {poly.monomials()} is listed twice")
-        if poly.degree != 8:
-            raise KeyFileError(f"{where}: {poly.monomials()} does not have degree 8")
         if poly.bits not in golden.PRIMITIVE_POLY_MASKS:
             raise KeyFileError(f"{where}: {poly.monomials()} is not primitive")
         masks.append(poly.bits)
@@ -89,18 +102,18 @@ def parse_key_text(text: str, source: str = "<memory>") -> KeyFile:
             continue
         where = f"{source}:{lineno}"
         if "=" not in stripped:
-            raise KeyFileError(f"{where}: expected name=value, got {stripped!r}")
+            raise KeyFileError(f"{where}: expected name=value, got {_echo(stripped)}")
         name, _, raw = stripped.partition("=")
         name = name.strip()
         raw = raw.strip()
         if name not in _ALL_KEYS:
-            raise KeyFileError(f"{where}: unknown key {name!r}")
+            raise KeyFileError(f"{where}: unknown key {_echo(name)}")
         if name in values:
             raise KeyFileError(f"{where}: repeated key {name!r}")
         if name in _FLOAT_KEYS:
             values[name] = _parse_float(raw, where)
         elif name in _INT_KEYS:
-            values[name] = _parse_int(raw, where)
+            values[name] = _parse_int(name, raw, where)
         else:
             values[name] = _parse_polys(raw, where)
     for required in ("x0", "y0", "z0"):
@@ -113,15 +126,10 @@ def parse_key_text(text: str, source: str = "<memory>") -> KeyFile:
         params = LorenzParams(**lorenz_kwargs)
     except ValueError as e:
         raise KeyFileError(f"{source}: {e}") from None
-    lft = (
-        int(values.get("lft_a", golden.DEFAULT_LFT[0])),
-        int(values.get("lft_b", golden.DEFAULT_LFT[1])),
-        int(values.get("lft_c", golden.DEFAULT_LFT[2])),
-        int(values.get("lft_d", golden.DEFAULT_LFT[3])),
+    lft = tuple(
+        values.get(name, default)
+        for name, default in zip(("lft_a", "lft_b", "lft_c", "lft_d"), golden.DEFAULT_LFT)
     )
-    for name, v in zip(("lft_a", "lft_b", "lft_c", "lft_d"), lft):
-        if not 0 <= v <= 255:
-            raise KeyFileError(f"{source}: {name}={v} out of byte range")
     polys = values.get("polys", golden.PRIMITIVE_POLY_MASKS)
     return KeyFile(params, lft, tuple(polys), source)
 

@@ -193,7 +193,18 @@ def build_family(
     Each mask must be one of the 16 primitive degree-8 polynomials of the
     golden list; each box carries LftParams provenance whose poly_index
     names its polynomial there.
+
+    The last 8 families are memoised per (a, b, c, d, tuple(polys)), with
+    argument types part of the key, so `True` or `1.0` still meets
+    LftParams' check after `1` is cached.  Equal arguments return the same
+    tuple: its boxes are frozen and hold bytes, so CipherKeys share it.
+    Errors are not cached; a bad LFT or mask raises on every call.
     """
+    return _family(a, b, c, d, tuple(polys))
+
+
+@lru_cache(maxsize=8, typed=True)  # a process or a key sweep uses one family
+def _family(a: int, b: int, c: int, d: int, polys: tuple[int, ...]) -> tuple[LftSBox, ...]:
     boxes: list[LftSBox] = []
     for mask in polys:
         if mask not in golden.PRIMITIVE_POLY_MASKS:

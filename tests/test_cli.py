@@ -185,6 +185,24 @@ class TestEncryptDecrypt:
         assert err.count("\n") == 1
         assert "latin1.txt" in err
 
+    @pytest.mark.parametrize("blob", [
+        b"\0" * 65536,
+        (KEY_TEXT + "k" * 60000 + "=1\n").encode(),
+        ("x0=" + "1" * 60000 + "\ny0=2.3\nz0=3.7\n").encode(),
+        (KEY_TEXT + "polys=" + "y" * 60000 + "\n").encode(),
+        (KEY_TEXT + "polys=0x" + "f" * 60000 + "\n").encode(),
+        (KEY_TEXT + "lft_a=0x" + "f" * 60000 + "\n").encode(),
+        (KEY_TEXT + "burn_in=" + "9" * 4000 + "\n").encode(),
+    ], ids=["nul-bytes", "long-name", "long-x0", "long-poly-term", "long-poly-mask",
+            "long-hex-lft", "long-burn-in"])
+    def test_hostile_key_file_gives_one_short_line(self, tmp_path, capsys, monkeypatch, blob):
+        monkeypatch.chdir(tmp_path)
+        Path("key.txt").write_bytes(blob)
+        assert main(["keystream", "--key", "key.txt", "--length", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:keyfile: key.txt:")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
     def test_encrypt_process_skips_analysis_modules(self, tmp_path, keyfile, small_image):
         code = (
             "import sys; from lftcipher.cli import main; "

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import make_natural_image
 from lftcipher import DEFAULT_LFT, CipherKey, ImageBuffer, LorenzParams, build_family, encrypt
+from lftcipher import sbox
 from lftcipher.cli import main
 from lftcipher.lorenz import keystream
 from lftcipher.metrics import cryptanalysis_report
@@ -173,6 +174,14 @@ def test_default_sbox_tables():
     family = build_family(*DEFAULT_LFT)
     assert tuple(sha256(box.table)[:16] for box in family) == SBOX_DIGESTS
     assert sha256(b"".join(box.table for box in family)) == SBOX_FAMILY_DIGEST
+
+
+def test_memoised_family_keeps_the_pins():
+    sbox._family.cache_clear()
+    built = build_family(*DEFAULT_LFT)
+    hit = build_family(*DEFAULT_LFT)
+    assert hit is built
+    assert tuple(sha256(box.table)[:16] for box in hit) == SBOX_DIGESTS
 
 
 def test_ciphertexts(rk4_path):

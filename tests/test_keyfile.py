@@ -104,7 +104,7 @@ class TestErrors:
             parse_key_text(MINIMAL + f"polys={masks},0x13\n")
 
     def test_lft_out_of_range(self):
-        with pytest.raises(KeyFileError, match="byte range"):
+        with pytest.raises(KeyFileError, match=r":4: lft_a must be in \[0, 255\], got '300'$"):
             parse_key_text(MINIMAL + "lft_a=300\n")
 
     def test_invalid_step(self):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import inv_fermat
+from lftcipher import sbox
+from lftcipher.cipher import CipherKey
 from lftcipher.gf2n import field
 from lftcipher.golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
+from lftcipher.lorenz import LorenzParams
 from lftcipher.sbox import (
     DegenerateLftError,
     LftParams,
@@ -190,6 +193,45 @@ class TestBuildFamily:
     def test_provenance_poly_index(self, family):
         for i, box in enumerate(family, start=1):
             assert box.provenance.poly_index == i
+
+
+class TestFamilyMemo:
+    def test_equal_arguments_return_the_same_tuple(self):
+        assert build_family(*DEFAULT_LFT) is build_family(*DEFAULT_LFT)
+
+    def test_cipher_keys_share_the_family(self):
+        keys = [CipherKey.create(LorenzParams(x0, 2.3, 3.7)) for x0 in (1.1, 1.2)]
+        assert keys[0].sboxes is keys[1].sboxes
+
+    def test_permuted_polys_get_their_own_family(self):
+        # test_permuted_polys_reorder_the_default_family checks the tables
+        permuted = build_family(*DEFAULT_LFT, polys=PRIMITIVE_POLY_MASKS[::-1])
+        assert permuted is not build_family(*DEFAULT_LFT)
+
+    def test_list_polys_equal_the_tuple_result(self):
+        assert build_family(*DEFAULT_LFT, polys=list(PRIMITIVE_POLY_MASKS)) is build_family(
+            *DEFAULT_LFT
+        )
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_other_types_are_checked_after_an_int_is_cached(self, bad):
+        assert all(box.table == IDENTITY for box in build_family(1, 0, 0, 1))
+        with pytest.raises(ValueError, match="a must be an integer"):
+            build_family(bad, 0, 0, 1)
+
+    def test_errors_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DegenerateLftError):
+                build_family(1, 1, 1, 1)
+            with pytest.raises(ValueError, match="is not primitive"):
+                build_family(*DEFAULT_LFT, polys=(0x101,))
+
+    def test_memo_stays_at_its_bound(self):
+        sbox._family.cache_clear()
+        for a in range(1, 13):  # affine, so never degenerate
+            build_family(a, 0, 0, 1)
+        info = sbox._family.cache_info()
+        assert info.misses == 12 and info.currsize == info.maxsize == 8
 
 
 class TestInvert:
