@@ -5,7 +5,7 @@ evaluate both."""
 from .cipher import CipherKey, ImageBuffer, decrypt, encrypt
 from .gf2n import BinaryPoly, FieldSpec, field
 from .golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
-from .keyfile import KeyFile, parse_key_file, parse_key_text
+from .keyfile import parse_key_file, parse_key_text
 from .lorenz import Keystream, LorenzParams, keystream
 from .netpbm import read_image, read_raw, write_image
 from .sbox import LftParams, LftSBox, build_family, build_sbox
@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_LFT",
     "FieldSpec",
     "ImageBuffer",
-    "KeyFile",
     "Keystream",
     "LftParams",
     "LftSBox",

@@ -69,7 +69,7 @@ class ImageBuffer:
 
 @dataclass(frozen=True)
 class CipherKey:
-    """Lorenz parameters plus the S-box family they select from."""
+    """Lorenz parameters plus the 16-box S-box family they select from."""
 
     lorenz: LorenzParams
     lft: tuple[int, int, int, int]
@@ -87,7 +87,7 @@ class CipherKey:
         return cls(params, tuple(lft), polys, build_family(*lft, polys=polys))
 
     def keystream(self, length: int) -> Keystream:
-        return lorenz.keystream(self.lorenz, length, len(self.sboxes))
+        return lorenz.keystream(self.lorenz, length)
 
 
 def permute(v, perm) -> np.ndarray:
@@ -164,19 +164,13 @@ def inverse_substitute(v, selectors, sboxes) -> np.ndarray:
     return _lookup(v, selectors, sboxes, inverse=True)
 
 
-def _keystream_for(
-    img: ImageBuffer, key: CipherKey, ks: Keystream | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stage_streams(img: ImageBuffer, key: CipherKey) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (perm, mask, selectors) the stages read; k is not among them.
 
-    When the stream is derived here, only these three arrays outlive the
-    call, so k and the integrator buffer it views are freed before any
-    stage output is allocated.
+    Only these three arrays outlive the call, so k and the integrator
+    buffer it views are freed before any stage output is allocated.
     """
-    if ks is None:
-        ks = key.keystream(img.pixel_count)
-    elif len(ks) != img.pixel_count:
-        raise ValueError(f"keystream length {len(ks)} != pixel count {img.pixel_count}")
+    ks = key.keystream(img.pixel_count)
     return ks.perm, ks.mask, ks.selectors
 
 
@@ -193,27 +187,22 @@ def _map_planes(img: ImageBuffer, stage) -> ImageBuffer:
     return ImageBuffer(img.width, img.height, img.channels, out.tobytes())
 
 
-def encrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> ImageBuffer:
+def encrypt(img: ImageBuffer, key: CipherKey) -> ImageBuffer:
     """permute -> xor_mask -> substitute, on each channel plane.
 
-    ks, if given, must be key.keystream(img.pixel_count); it saves
-    deriving the stream again when the caller already has it.  Without it
-    the stream is derived here, and the stages run holding only perm, the
+    The stream is derived here, and the stages run holding only perm, the
     mask and the selectors, not k.
     """
-    perm, mask, selectors = _keystream_for(img, key, ks)
+    perm, mask, selectors = _stage_streams(img, key)
     return _map_planes(
         img, lambda v: substitute(xor_mask(permute(v, perm), mask), selectors, key.sboxes)
     )
 
 
-def decrypt(img: ImageBuffer, key: CipherKey, ks: Keystream | None = None) -> ImageBuffer:
-    """Exact inverse of encrypt: unsubstitute -> unmask -> unpermute.
-
-    ks, if given, must be key.keystream(img.pixel_count), as for encrypt;
-    without it the stages again run holding only perm, mask and selectors.
-    """
-    perm, mask, selectors = _keystream_for(img, key, ks)
+def decrypt(img: ImageBuffer, key: CipherKey) -> ImageBuffer:
+    """Exact inverse of encrypt: unsubstitute -> unmask -> unpermute,
+    again holding only perm, the mask and the selectors."""
+    perm, mask, selectors = _stage_streams(img, key)
     return _map_planes(
         img,
         lambda v: inverse_permute(

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import golden, lorenz, netpbm, sbox
+from . import golden, netpbm, sbox
 from .cipher import ImageBuffer, decrypt, encrypt
 from .keyfile import KeyFileError, parse_key_file
-from .lorenz import IntegrationError
+from .lorenz import IntegrationError, Keystream
 from .netpbm import ImageFormatError
 from .sbox import DegenerateLftError, SBoxFormatError, SBoxValidationError
 
@@ -42,15 +42,12 @@ def _error_code(exc: BaseException) -> str:
     return "internal"
 
 
-def _parse_lft(text: str) -> tuple[int, int, int, int]:
+def _parse_lft(text: str) -> tuple[int, ...]:
+    """a,b,c,d as integers; LftParams checks that each is a byte."""
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--lft wants a,b,c,d (four bytes), got {text!r}")
-    vals = tuple(int(p, 0) for p in parts)
-    for v in vals:
-        if not 0 <= v <= 255:
-            raise ValueError(f"LFT coefficient {v} out of byte range")
-    return vals  # type: ignore[return-value]
+    return tuple(int(p, 0) for p in parts)
 
 
 def _parse_raw_shape(text: str) -> tuple[int, int, int]:
@@ -71,7 +68,7 @@ def _read_input_image(path: str, raw: str | None) -> ImageBuffer:
     return netpbm.read_raw(path, w, h, c)
 
 
-def _dump_keystream(ks: lorenz.Keystream, out) -> None:
+def _dump_keystream(ks: Keystream, out) -> None:
     n = len(ks)
     out.write(f"length={n}\n")
     out.write("i\tk\tperm\tmask\tselector\n")
@@ -144,19 +141,12 @@ def cmd_analyze_sbox(args) -> int:
 def cmd_cipher(args) -> int:
     """encrypt or decrypt, whichever cipher function `args.stage` is.
 
-    Only --emit-keystream derives the stream here, since the dump needs k;
-    otherwise the stage derives it and drops k before it allocates its
-    output.  Either way the process derives one stream.
+    The stage derives the stream and drops k before it allocates its output.
     """
-    key = parse_key_file(args.key).to_cipher_key()
+    key = parse_key_file(args.key)
     img = _read_input_image(args.infile, args.raw)
-    ks = None
-    if args.emit_keystream:
-        ks = key.keystream(img.pixel_count)
-        with open(args.emit_keystream, "w", encoding="utf-8") as f:
-            _dump_keystream(ks, f)
-    out = args.stage(img, key, ks)
-    del img, ks  # writing needs neither the input nor an emitted keystream
+    out = args.stage(img, key)
+    del img  # writing does not need the input
     netpbm.write_image(out, args.out)
     return 0
 
@@ -196,7 +186,7 @@ def cmd_metrics(args) -> int:
 def cmd_attack_sim(args) -> int:
     from . import metrics
 
-    key = parse_key_file(args.key).to_cipher_key()
+    key = parse_key_file(args.key)
     img = _read_input_image(args.infile, args.raw)
     report = metrics.noise_experiment(img, key, args.corrupt)
     netpbm.write_image(report.recovered, args.out)
@@ -207,8 +197,7 @@ def cmd_attack_sim(args) -> int:
 
 
 def cmd_keystream(args) -> int:
-    kf = parse_key_file(args.key)
-    ks = lorenz.keystream(kf.lorenz, args.length)
+    ks = parse_key_file(args.key).keystream(args.length)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             _dump_keystream(ks, f)
@@ -232,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-sbox", help="generate one substitution box")
     p.add_argument("--poly-index", type=int, default=1, metavar="I",
                    help=f"1..{len(golden.PRIMITIVE_POLY_MASKS)} into the primitive list")
-    p.add_argument("--lft", default="32,22,11,8", metavar="a,b,c,d")
+    p.add_argument("--lft", default=",".join(map(str, golden.DEFAULT_LFT)), metavar="a,b,c,d")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.set_defaults(func=cmd_gen_sbox)
@@ -247,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--raw", metavar="WxH[xC]", help="input is headerless bytes")
-        p.add_argument("--emit-keystream", metavar="FILE",
-                       help="dump mask/perm/selectors (reveals the secret stream)")
         p.set_defaults(func=cmd_cipher, stage=stage)
 
     p = sub.add_parser("metrics", help="statistical analyses of an image")

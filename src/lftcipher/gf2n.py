@@ -101,6 +101,8 @@ class BinaryPoly:
                 k = 1
             else:
                 k = int(m.group(1))
+            if k > MAX_DEGREE:  # before 1 << k, which costs k / 8 bytes
+                raise ValueError(f"a term's exponent exceeds the maximum degree {MAX_DEGREE}")
             if bits >> k & 1:
                 raise ValueError(f"duplicate term {term!r} in {text!r}")
             bits |= 1 << k

@@ -2,23 +2,23 @@
 
 Required: x0, y0, z0 (the secret initial conditions).  Optional with
 defaults: a=10, b=28, c=8/3, step=0.01, burn_in=100, lft_a..lft_d
-(32,22,11,8), and polys= a comma-separated list of the 16 primitive
-degree-8 polynomials, each once, in any order, given as hex masks or
-monomial strings; any other degree-8 entry, reducible or not, is reported
-as not primitive.  Blank lines and lines starting with # are ignored;
-unknown or repeated keys are rejected with their line number.
+(32,22,11,8), and polys= a comma-separated list of hex masks or monomial
+strings that sbox.family_polys accepts: the 16 primitive degree-8
+polynomials, each once, in any order.  Blank lines and lines starting
+with # are ignored; unknown or repeated keys are rejected with their line
+number.  Parsing returns a CipherKey, so it builds the key's S-box family.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from . import golden
 from .cipher import CipherKey
 from .gf2n import BinaryPoly
 from .lorenz import MAX_BURN_IN, LorenzParams
+from .sbox import family_polys
 
 
 class KeyFileError(ValueError):
@@ -30,19 +30,6 @@ _INT_KEYS = {"burn_in": MAX_BURN_IN, "lft_a": 255, "lft_b": 255, "lft_c": 255, "
 _ALL_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"polys"}
 _MAX_KEY_FILE = 1 << 16  # bytes; a full key file needs under 1 KiB
 _ECHO = 40  # characters of a name, value or line that an error message repeats
-
-
-@dataclass(frozen=True)
-class KeyFile:
-    """Parsed key material plus its textual provenance."""
-
-    lorenz: LorenzParams
-    lft: tuple[int, int, int, int]
-    polys: tuple[int, ...]
-    source: str = "<memory>"
-
-    def to_cipher_key(self) -> CipherKey:
-        return CipherKey.create(self.lorenz, self.lft, self.polys)
 
 
 def _echo(text: str) -> str:
@@ -78,23 +65,18 @@ def _parse_polys(raw: str, where: str) -> tuple[int, ...]:
     for tok in raw.split(","):
         tok = tok.strip()
         try:
-            poly = BinaryPoly.parse(tok)
+            masks.append(BinaryPoly.parse(tok).bits)
         except ValueError:
             raise KeyFileError(f"{where}: cannot parse {_echo(tok)} as a polynomial") from None
-        if poly.degree != 8:
-            raise KeyFileError(f"{where}: {_echo(tok)} does not have degree 8")
-        if poly.bits in masks:
-            raise KeyFileError(f"{where}: {poly.monomials()} is listed twice")
-        if poly.bits not in golden.PRIMITIVE_POLY_MASKS:
-            raise KeyFileError(f"{where}: {poly.monomials()} is not primitive")
-        masks.append(poly.bits)
-    if len(masks) != 16:
-        raise KeyFileError(f"{where}: expected 16 polynomials, got {len(masks)}")
-    return tuple(masks)
+    try:
+        return family_polys(masks)
+    except ValueError as e:
+        raise KeyFileError(f"{where}: {e}") from None
 
 
-def parse_key_text(text: str, source: str = "<memory>") -> KeyFile:
-    """Parse key material from a string; see the module docstring for keys."""
+def parse_key_text(text: str, source: str = "<memory>") -> CipherKey:
+    """Parse key material from a string into a CipherKey; see the module
+    docstring for keys.  `source` names the text in error messages."""
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -130,11 +112,10 @@ def parse_key_text(text: str, source: str = "<memory>") -> KeyFile:
         values.get(name, default)
         for name, default in zip(("lft_a", "lft_b", "lft_c", "lft_d"), golden.DEFAULT_LFT)
     )
-    polys = values.get("polys", golden.PRIMITIVE_POLY_MASKS)
-    return KeyFile(params, lft, tuple(polys), source)
+    return CipherKey.create(params, lft, values.get("polys", golden.PRIMITIVE_POLY_MASKS))
 
 
-def parse_key_file(path: str | os.PathLike) -> KeyFile:
+def parse_key_file(path: str | os.PathLike) -> CipherKey:
     """Read and parse a key file of at most _MAX_KEY_FILE bytes."""
     with open(path, "rb") as f:
         blob = f.read(_MAX_KEY_FILE + 1)

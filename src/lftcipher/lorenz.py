@@ -306,12 +306,12 @@ def _rank_permutation(k: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return perm
 
 
-def derive_keystream(k, sbox_count: int = 16) -> Keystream:
+def derive_keystream(k) -> Keystream:
     """Digest a k sequence (entries in [0,1)) into the cipher's streams.
 
     mask[i]      = round(k_i * 10^4) mod 256, round half away from zero
     perm         = stable argsort of k (ties broken by lower index first)
-    selectors[i] = floor(k_i * 10^4) mod sbox_count
+    selectors[i] = floor(k_i * 10^4) mod 16, one of the family's 16 boxes
 
     The position shuffle is realized as the rank permutation of k, the
     standard reading for this family of designs.  k_i * 10^4 lies in
@@ -327,19 +327,13 @@ def derive_keystream(k, sbox_count: int = 16) -> Keystream:
         raise ValueError("k must be one-dimensional")
     if k.size and not (k.min() >= 0.0 and k.max() < 1.0):
         raise ValueError("k entries must lie in [0, 1)")
-    if not 1 <= sbox_count <= 256:
-        raise ValueError(f"sbox_count must be in [1, 256], got {sbox_count}")
     scaled = k * 1e4
     mask = np.empty(k.size, dtype=np.uint8)
     selectors = np.empty(k.size, dtype=np.uint8)
     for start in range(0, k.size, _BLOCK):
         block = scaled[start : start + _BLOCK]
         floor = block.astype(np.uint16)
-        # u - u // m * m is u % m; numpy vectorises integer floor division
-        # but not the remainder, which is about ten times slower
-        quotient = floor // sbox_count
-        quotient *= sbox_count
-        floor -= quotient
+        floor &= 15
         selectors[start : start + _BLOCK] = floor
         block += 0.5
         mask[start : start + _BLOCK] = block.astype(np.uint16)  # the low byte
@@ -347,7 +341,7 @@ def derive_keystream(k, sbox_count: int = 16) -> Keystream:
     return Keystream(k=k, perm=_rank_permutation(k, keys), mask=mask, selectors=selectors)
 
 
-def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystream:
+def keystream(params: LorenzParams, length: int) -> Keystream:
     """Integrate, take fractional parts and digest in one call.
 
     k is the flat trajectory itself, reduced to its fractional parts in
@@ -364,4 +358,4 @@ def keystream(params: LorenzParams, length: int, sbox_count: int = 16) -> Keystr
         # the fractional part, in [0, 1) for either sign
         block -= np.floor(block, out=whole[: block.size])
         np.minimum(block, _BELOW_ONE, out=block)
-    return derive_keystream(k, sbox_count)
+    return derive_keystream(k)

@@ -104,13 +104,20 @@ def write_image(img: ImageBuffer, path: str | os.PathLike) -> None:
 
 
 def read_raw(path: str | os.PathLike, width: int, height: int, channels: int = 1) -> ImageBuffer:
-    """Read headerless bytes with externally supplied dimensions."""
-    with open(path, "rb") as f:
-        data = f.read()
+    """Read headerless bytes with externally supplied dimensions.
+
+    At most one byte past the expected size is read, enough to tell a long
+    file without holding it.  read(n) allocates n bytes up front, so n is
+    also capped by a regular file's size (st_size is 0 for a pipe).
+    """
     expected = width * height * channels
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size or expected
+        data = f.read(max(min(expected, size), 0) + 1)
     if len(data) != expected:
+        found = len(data) if len(data) < expected else f"over {expected}"
         raise ImageFormatError(
-            f"{path}: raw payload is {len(data)} bytes, expected"
+            f"{path}: raw payload is {found} bytes, expected"
             f" {width}x{height}x{channels} = {expected}"
         )
     return ImageBuffer(width, height, channels, data)

@@ -185,35 +185,53 @@ def _times_all_bytes(k: int, log: np.ndarray, antilog: np.ndarray) -> np.ndarray
     return prod
 
 
+def family_polys(polys) -> tuple[int, ...]:
+    """polys as a tuple, checked to list the 16 primitive degree-8
+    polynomials of the golden list, each once, in any order.
+
+    This is the one check of a family's polynomials.  A mask of another
+    degree is named by its degree alone, so that a hostile mask of
+    thousands of bits still gives a short message.
+    """
+    polys = tuple(polys)
+    for i, mask in enumerate(polys):
+        if mask not in golden.PRIMITIVE_POLY_MASKS:
+            poly = BinaryPoly(mask)
+            if poly.degree != 8:
+                raise ValueError(f"polynomial {i + 1} has degree {poly.degree}, not degree 8")
+            raise ValueError(f"{poly.monomials()} is not primitive")
+        if mask in polys[:i]:
+            raise ValueError(f"{BinaryPoly(mask).monomials()} is listed twice")
+    if len(polys) != len(golden.PRIMITIVE_POLY_MASKS):
+        raise ValueError(
+            f"expected {len(golden.PRIMITIVE_POLY_MASKS)} polynomials, got {len(polys)}"
+        )
+    return polys
+
+
 def build_family(
     a: int, b: int, c: int, d: int, polys: tuple[int, ...] = golden.PRIMITIVE_POLY_MASKS
 ) -> tuple[LftSBox, ...]:
     """One S-box per polynomial of `polys` for fixed (a, b, c, d), in that order.
 
-    Each mask must be one of the 16 primitive degree-8 polynomials of the
-    golden list; each box carries LftParams provenance whose poly_index
-    names its polynomial there.
+    `polys` must pass family_polys; each box carries LftParams provenance
+    whose poly_index names its polynomial in the golden list.
 
     The last 8 families are memoised per (a, b, c, d, tuple(polys)), with
     argument types part of the key, so `True` or `1.0` still meets
     LftParams' check after `1` is cached.  Equal arguments return the same
     tuple: its boxes are frozen and hold bytes, so CipherKeys share it.
-    Errors are not cached; a bad LFT or mask raises on every call.
+    Errors are not cached; a bad LFT or polynomial list raises on every call.
     """
     return _family(a, b, c, d, tuple(polys))
 
 
 @lru_cache(maxsize=8, typed=True)  # a process or a key sweep uses one family
 def _family(a: int, b: int, c: int, d: int, polys: tuple[int, ...]) -> tuple[LftSBox, ...]:
-    boxes: list[LftSBox] = []
-    for mask in polys:
-        if mask not in golden.PRIMITIVE_POLY_MASKS:
-            poly = BinaryPoly(mask)
-            problem = "does not have degree 8" if poly.degree != 8 else "is not primitive"
-            raise ValueError(f"{poly.monomials()} {problem}")
-        index = golden.PRIMITIVE_POLY_MASKS.index(mask) + 1
-        boxes.append(build_sbox(LftParams(a, b, c, d, poly_index=index)))
-    return tuple(boxes)
+    return tuple(
+        build_sbox(LftParams(a, b, c, d, poly_index=golden.PRIMITIVE_POLY_MASKS.index(mask) + 1))
+        for mask in family_polys(polys)
+    )
 
 
 def format_table_text(table) -> str:

@@ -227,12 +227,14 @@ def test_criterion_10_determinism(tmp_path):
         ct = tmp_path / f"ct{i}.pgm"
         dump = tmp_path / f"ks{i}.tsv"
         assert main(["encrypt", "--key", str(keyfile), "--in", str(plain),
-                     "--out", str(ct), "--emit-keystream", str(dump)]) == 0
+                     "--out", str(ct)]) == 0
+        assert main(["keystream", "--key", str(keyfile), "--length", str(48 * 32),
+                     "--out", str(dump)]) == 0
         outs.append(ct.read_bytes())
         dumps.append(dump.read_bytes())
     ok = outs[0] == outs[1] and dumps[0] == dumps[1]
     # and the ciphertext actually decrypts
-    key = parse_key_text(keyfile.read_text()).to_cipher_key()
+    key = parse_key_text(keyfile.read_text())
     rt = decrypt(read_image(tmp_path / "ct1.pgm"), key) == read_image(plain)
     report(10, "determinism", ok and rt,
            f"ciphertexts identical={outs[0] == outs[1]}, dumps identical={dumps[0] == dumps[1]}, "

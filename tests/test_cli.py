@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 
 import lftcipher
 from conftest import make_natural_image
-from lftcipher import lorenz
-from lftcipher.cli import main
-from lftcipher.golden import PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
+from lftcipher import ImageBuffer, build_family, lorenz
+from lftcipher.cipher import permute, substitute, xor_mask
+from lftcipher.cli import build_parser, main
+from lftcipher.golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS, REFERENCE_SBOX
 from lftcipher.netpbm import read_image, write_image
 from lftcipher.sbox import format_table_text
 
@@ -96,6 +98,13 @@ class TestGenAnalyze:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:degenerate-lft:")
 
+    def test_lft_out_of_byte_range(self, tmp_path, capsys):
+        rc = main(["gen-sbox", "--lft", "300,0,0,1", "--out", str(tmp_path / "x.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:invalid-input:") and err.count("\n") == 1
+        assert "a=300" in err
+
 
 class TestEncryptDecrypt:
     def test_round_trip(self, tmp_path, keyfile, small_image):
@@ -112,14 +121,12 @@ class TestEncryptDecrypt:
         main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(c2)])
         assert c1.read_bytes() == c2.read_bytes()
 
-    def test_keystream_dump_deterministic(self, tmp_path, keyfile, small_image):
+    def test_keystream_dump_deterministic(self, tmp_path, keyfile):
         d1 = tmp_path / "ks1.tsv"
         d2 = tmp_path / "ks2.tsv"
-        ct = tmp_path / "ct.pgm"
-        main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(ct),
-              "--emit-keystream", str(d1)])
-        main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(ct),
-              "--emit-keystream", str(d2)])
+        for dump in (d1, d2):
+            assert main(["keystream", "--key", keyfile, "--length", "768",
+                         "--out", str(dump)]) == 0
         assert d1.read_bytes() == d2.read_bytes()
         header = d1.read_text().splitlines()
         assert header[0] == "length=768"
@@ -203,6 +210,49 @@ class TestEncryptDecrypt:
         assert err.startswith("error:keyfile: key.txt:")
         assert err.count("\n") == 1 and len(err.encode()) < 300
 
+    def test_degenerate_lft_key_file(self, tmp_path, small_image, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(KEY_TEXT + "lft_a=1\nlft_b=1\nlft_c=1\nlft_d=1\n")
+        rc = main(["encrypt", "--key", str(bad), "--in", small_image,
+                   "--out", str(tmp_path / "ct.pgm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:degenerate-lft:") and err.count("\n") == 1
+
+    def test_huge_exponent_key_file(self, tmp_path, small_image, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(KEY_TEXT + "polys=x^100000000\n")
+        rc = main(["encrypt", "--key", str(bad), "--in", small_image,
+                   "--out", str(tmp_path / "ct.pgm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:keyfile:") and err.count("\n") == 1
+        assert "bad.txt:4: cannot parse 'x^100000000' as a polynomial" in err
+
+    @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+    def test_keystream_dump_drives_the_stages(self, tmp_path, keyfile, channels):
+        # the perm, mask and selector columns of a `keystream --length W*H` dump,
+        # run through permute -> xor_mask -> substitute on each plane, give
+        # exactly the ciphertext `encrypt` writes
+        width, height = 32, 24
+        rng = np.random.default_rng(52)
+        shape = (height, width) if channels == 1 else (height, width, 3)
+        plain = tmp_path / "plain.pnm"
+        write_image(ImageBuffer.from_array(rng.integers(0, 256, shape, dtype=np.uint8)), plain)
+        ct, dump = tmp_path / "ct.pnm", tmp_path / "ks.tsv"
+        assert main(["encrypt", "--key", keyfile, "--in", str(plain), "--out", str(ct)]) == 0
+        assert main(["keystream", "--key", keyfile, "--length", str(width * height),
+                     "--out", str(dump)]) == 0
+        rows = [line.split("\t") for line in dump.read_text().splitlines()[2:]]
+        perm, mask, selectors = (np.array([int(r[c]) for r in rows]) for c in (2, 3, 4))
+        pixels = read_image(plain).to_array().reshape(width * height, channels)
+        out = np.empty_like(pixels)
+        sboxes = build_family(*DEFAULT_LFT)
+        for ch in range(channels):
+            staged = xor_mask(permute(pixels[:, ch], perm), mask.astype(np.uint8))
+            out[:, ch] = substitute(staged, selectors, sboxes)
+        assert out.tobytes() == read_image(ct).data
+
     def test_encrypt_process_skips_analysis_modules(self, tmp_path, keyfile, small_image):
         code = (
             "import sys; from lftcipher.cli import main; "
@@ -236,28 +286,12 @@ class TestEncryptDecrypt:
         return calls
 
     @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
-    def test_emit_keystream_derives_once(self, tmp_path, keyfile, small_image, command,
-                                         monkeypatch):
-        plain = tmp_path / "plain.pgm"
-        main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(plain)])
-        src = small_image if command == "encrypt" else str(plain)
-        main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "ref.pgm")])
-        calls = self._counted_run(
-            monkeypatch,
-            [command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "out.pgm"),
-             "--emit-keystream", str(tmp_path / "ks.txt")],
-        )
-        assert len(calls) == 1
-        assert (tmp_path / "out.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
-
-    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
     def test_stage_derives_once_without_emit(self, tmp_path, keyfile, small_image, command,
                                              monkeypatch):
         plain = tmp_path / "plain.pgm"
         main(["encrypt", "--key", keyfile, "--in", small_image, "--out", str(plain)])
         src = small_image if command == "encrypt" else str(plain)
-        main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "ref.pgm"),
-              "--emit-keystream", str(tmp_path / "ks.txt")])
+        main([command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "ref.pgm")])
         calls = self._counted_run(
             monkeypatch, [command, "--key", keyfile, "--in", src, "--out", str(tmp_path / "out.pgm")]
         )
@@ -290,8 +324,6 @@ class TestMetricsCommand:
         assert "UACI(%):" in out
 
     def test_constant_image_correlation_undefined(self, tmp_path, capsys):
-        from lftcipher import ImageBuffer
-
         path = tmp_path / "flat.pgm"
         write_image(ImageBuffer(8, 8, 1, bytes([5]) * 64), path)
         assert main(["metrics", "--in", str(path)]) == 0
@@ -312,8 +344,6 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize("offset", ["1", "1,2,3", "a,b", "0,0", "9,9"])
     def test_bad_glcm_offset_prints_no_metrics(self, tmp_path, capsys, offset):
-        from lftcipher import ImageBuffer
-
         path = tmp_path / "small.pgm"
         write_image(ImageBuffer(8, 8, 1, bytes(range(64))), path)
         assert main(["metrics", "--in", str(path), "--glcm-offset", offset]) == 1
@@ -324,8 +354,6 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize("against", ["missing", "mismatched"])
     def test_bad_against_prints_no_metrics(self, tmp_path, small_image, capsys, against):
-        from lftcipher import ImageBuffer
-
         path = tmp_path / "other.pgm"
         if against == "mismatched":
             write_image(ImageBuffer(8, 8, 1, bytes(64)), path)
@@ -336,8 +364,6 @@ class TestMetricsCommand:
         assert err.count("\n") == 1
 
     def test_one_pixel_wide_image_correlation_undefined(self, tmp_path, capsys):
-        from lftcipher import ImageBuffer
-
         path = tmp_path / "column.pgm"
         write_image(ImageBuffer(1, 8, 1, bytes(range(8))), path)
         assert main(["metrics", "--in", str(path), "--glcm-offset", "1,0"]) == 0
@@ -402,3 +428,16 @@ class TestKeystreamCommand:
         lines = captured.err.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("error:invalid-input:")
+
+
+def test_readme_cli_block_parses():
+    # parse only: every command the README's CLI block shows names a
+    # subcommand and flags that exist, so the docs cannot keep a removed flag
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("lftcipher ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)

@@ -1,7 +1,9 @@
 import pytest
 
+from lftcipher import CipherKey, LorenzParams
 from lftcipher.golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS
 from lftcipher.keyfile import KeyFileError, parse_key_file, parse_key_text
+from lftcipher.sbox import DegenerateLftError
 
 MINIMAL = "x0=1.5\ny0=-2.25\nz0=30.125\n"
 
@@ -45,8 +47,15 @@ class TestParsing:
         assert kf.polys == masks
 
     def test_to_cipher_key(self):
-        key = parse_key_text(MINIMAL).to_cipher_key()
+        key = parse_key_text(MINIMAL)
+        assert isinstance(key, CipherKey)
+        assert key == CipherKey.create(LorenzParams(1.5, -2.25, 30.125))
         assert len(key.sboxes) == 16
+
+    def test_degenerate_lft_is_not_a_key_file_error(self):
+        # the family build refuses it, and the CLI reports it as degenerate-lft
+        with pytest.raises(DegenerateLftError):
+            parse_key_text(MINIMAL + "lft_a=1\nlft_b=1\nlft_c=1\nlft_d=1\n")
 
 
 class TestErrors:
@@ -121,9 +130,7 @@ class TestFileIo:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "key.txt"
         path.write_text(MINIMAL + "a=11.25\n")
-        kf = parse_key_file(path)
-        assert kf.lorenz.a == 11.25
-        assert str(path) in kf.source
+        assert parse_key_file(path).lorenz.a == 11.25
 
     def test_non_utf8_file_is_key_file_error(self, tmp_path):
         path = tmp_path / "latin1.txt"

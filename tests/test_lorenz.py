@@ -426,13 +426,8 @@ class TestDeriveKeystream:
 
     def test_selector_range_respects_count(self):
         rng = np.random.default_rng(11)
-        ks = derive_keystream(rng.uniform(0, 1, 1000), sbox_count=16)
+        ks = derive_keystream(rng.uniform(0, 1, 1000))
         assert ks.selectors.max() < 16
-
-    @pytest.mark.parametrize("count", [0, -1, 257])
-    def test_sbox_count_must_fit_a_byte(self, count):
-        with pytest.raises(ValueError, match="sbox_count"):
-            derive_keystream(np.array([0.5]), sbox_count=count)
 
 
 class TestKeystream:

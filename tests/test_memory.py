@@ -11,8 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lftcipher import ImageBuffer, decrypt, encrypt, lorenz
+from lftcipher import CipherKey, ImageBuffer, decrypt, encrypt, lorenz
 from lftcipher.cli import main
+from lftcipher.keyfile import KeyFileError, parse_key_text
 from lftcipher.netpbm import ImageFormatError, parse_image, write_image
 
 MB = 1 << 20
@@ -43,12 +44,16 @@ def test_keystream_peaks_within_4_mb_of_what_it_keeps(test_key, traced):
 
 
 @pytest.mark.parametrize("stage", [encrypt, decrypt])
-def test_cipher_stage_allocates_two_images_plus_2_mb(test_key, rgb_and_stream, traced, stage):
+def test_cipher_stage_allocates_two_images_plus_2_mb(
+    test_key, rgb_and_stream, traced, stage, monkeypatch
+):
     img, ks = rgb_and_stream
-    stage(img, test_key, ks)
+    # the stage reads a stream derived beforehand, so only its own work is counted
+    monkeypatch.setattr(CipherKey, "keystream", lambda key, length: ks)
+    stage(img, test_key)
     before = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    out = stage(img, test_key, ks)
+    out = stage(img, test_key)
     assert len(out.data) == len(img.data)
     assert tracemalloc.get_traced_memory()[1] - before <= 2 * len(img.data) + 2 * MB
 
@@ -109,3 +114,33 @@ def test_oversized_input_file_is_rejected_after_a_bounded_read(
     err = capsys.readouterr().err
     assert err.startswith(f"error:{code}:") and err.count("\n") == 1
     assert "larger than 65536 bytes" in err
+
+
+def test_huge_exponent_is_refused_before_it_is_built(traced):
+    # 1 << 100000000 alone would take 12.5 MB
+    text = "x0=1.1\ny0=2.3\nz0=3.7\npolys=x^100000000\n"
+    tracemalloc.reset_peak()
+    with pytest.raises(KeyFileError, match="cannot parse 'x\\^100000000' as a polynomial"):
+        parse_key_text(text)
+    assert tracemalloc.get_traced_memory()[1] < MB
+
+
+@pytest.mark.parametrize("side, size", [(512, 512 * 512 + MB), (8192, 16)],
+                         ids=["file-1-mib-too-long", "dimensions-past-the-file"])
+def test_raw_file_of_the_wrong_size_is_refused_after_a_bounded_read(
+    tmp_path, capsys, traced, side, size
+):
+    # read(n) allocates n bytes up front, so the read is held to the
+    # smaller of the expected size and the file's
+    raw = tmp_path / "wrong.raw"
+    raw.touch()
+    os.truncate(raw, size)  # sparse: no disk blocks behind it
+    argv = ["metrics", "--in", str(raw), "--raw", f"{side}x{side}"]
+    main(argv)  # leave first-call imports out
+    capsys.readouterr()
+    tracemalloc.reset_peak()
+    assert main(argv) == 1
+    assert tracemalloc.get_traced_memory()[1] < min(size, side * side) + MB // 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:image-format:") and err.count("\n") == 1
+    assert f"expected {side}x{side}x1 = {side * side}" in err
