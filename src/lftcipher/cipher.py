@@ -16,7 +16,7 @@ import numpy as np
 
 from . import golden, lorenz
 from .lorenz import Keystream, LorenzParams
-from .sbox import LftSBox, build_family
+from .sbox import LftSBox, build_family, family_polys
 
 _GATHER_BLOCK = 1 << 16  # index entries per take: a 512 KB intp buffer
 
@@ -83,7 +83,7 @@ class CipherKey:
         lft: tuple[int, int, int, int] = golden.DEFAULT_LFT,
         polys: tuple[int, ...] = golden.PRIMITIVE_POLY_MASKS,
     ) -> CipherKey:
-        polys = tuple(polys)
+        polys = family_polys(polys)
         return cls(params, tuple(lft), polys, build_family(*lft, polys=polys))
 
     def keystream(self, length: int) -> Keystream:

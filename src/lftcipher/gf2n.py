@@ -3,8 +3,9 @@
 Polynomials over GF(2) are plain non-negative ints whose set bits are the
 coefficients (bit k is the coefficient of x^k), optionally wrapped in
 :class:`BinaryPoly` for parsing/printing.  Field elements are plain ints
-interpreted against an explicit :class:`FieldSpec`; there is no global
-field state, so any number of fields can coexist in one process.
+interpreted against an explicit :class:`FieldSpec`, which takes only a
+primitive reduction polynomial; there is no global field state, so any
+number of fields can coexist in one process.
 
 A FieldSpec is immutable after construction and all operations are pure,
 so specs and elements may be shared freely between threads.
@@ -22,7 +23,7 @@ MAX_DEGREE = 16  # keeps exhaustive validation feasible; 4 and 8 used in practic
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial arithmetic on int bitmasks
+# polynomials as int bitmasks
 # ---------------------------------------------------------------------------
 
 def poly_degree(bits: int) -> int | float:
@@ -30,35 +31,6 @@ def poly_degree(bits: int) -> int | float:
     if bits == 0:
         return NEG_INF_DEGREE
     return bits.bit_length() - 1
-
-
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials (no reduction)."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of polynomial division."""
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = 0
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def poly_mod(a: int, m: int) -> int:
-    """Remainder of a modulo m."""
-    return poly_divmod(a, m)[1]
 
 
 _MONOMIAL = re.compile(r"^(?:1|x|x\^(\d+))$")
@@ -128,23 +100,16 @@ class BinaryPoly:
         return f"BinaryPoly({self.to_hex()})"
 
 
-def is_irreducible_trial(f: BinaryPoly | int) -> bool:
-    """Irreducibility by trial division by every polynomial of degree <= n/2."""
-    bits = BinaryPoly.parse(f).bits
-    n = bits.bit_length() - 1
-    if n < 1:
-        raise ValueError("irreducibility is only defined for degree >= 1")
-    return all(poly_mod(bits, g) for g in range(2, 1 << (n // 2 + 1)))
-
-
 class FieldSpec:
-    """GF(2^n) fixed by an irreducible degree-n reduction polynomial.
+    """GF(2^n) fixed by a primitive degree-n reduction polynomial f.
 
-    When the reduction polynomial is primitive (x generates the whole
-    multiplicative group), log/antilog tables over the generator alpha = x
-    are built at construction and back the fast multiplication path.  The
-    shift-and-reduce path (:meth:`mul_naive`) is kept permanently as an
-    independent reference.
+    The constructor walks x, x^2, ... for at most 2^n - 1 steps and accepts
+    f only if the first power equal to 1 is x^(2^n - 1).  Then the 2^n - 1
+    powers of x are distinct units, so every nonzero residue is a unit and f
+    is irreducible: the walk is the field's one irreducibility test, and no
+    trial division is needed.  The walk is kept as the antilog table
+    (k -> x^k) and its inverse, the log table, and mul, inv and div read
+    them.
     """
 
     def __init__(self, reduction: int | str | BinaryPoly):
@@ -154,29 +119,29 @@ class FieldSpec:
             raise ValueError(f"reduction polynomial must have degree >= 1, got {red!r}")
         if n > MAX_DEGREE:
             raise ValueError(f"extension degree {n} exceeds supported maximum {MAX_DEGREE}")
-        if not is_irreducible_trial(red.bits):
-            raise ValueError(f"{red.monomials()} is reducible and cannot define a field")
         self.reduction = red
         self.n = n
         self.order = 1 << n
-        # walk x, x^2, ... to the first return to 1; x reduces to 0 when f = x
+        # bounded: when x divides f but f is not a power of x (x^8+x^4, say),
+        # the powers of x cycle without ever returning to 1
         antilog = [1]
-        v = poly_mod(2, red.bits)
-        while v > 1:
-            antilog.append(v)
+        v = 1
+        for _ in range(self.order - 1):
             v <<= 1
             if v & self.order:
                 v ^= red.bits
-        self.generator_order = len(antilog) if v == 1 else None
-        self.is_primitive = self.generator_order == self.order - 1
-        self.log_table: list[int | None] | None = None
-        self.antilog_table: list[int] | None = None
-        if self.is_primitive:  # otherwise x spans a proper subgroup and mul() uses mul_naive
-            log: list[int | None] = [None] * self.order
-            for k, v in enumerate(antilog):
-                log[v] = k
-            self.antilog_table = antilog
-            self.log_table = log
+            if v <= 1:
+                break
+            antilog.append(v)
+        if v != 1 or len(antilog) != self.order - 1:
+            raise ValueError(
+                f"{red.monomials()} is not primitive: x does not have order 2^{n} - 1 modulo it"
+            )
+        log: list[int | None] = [None] * self.order
+        for k, v in enumerate(antilog):
+            log[v] = k
+        self.antilog_table = antilog
+        self.log_table = log
 
     # -- representation / identity ------------------------------------------
 
@@ -197,47 +162,20 @@ class FieldSpec:
 
     # -- operations -------------------------------------------------------------
 
-    def mul_naive(self, a: int, b: int) -> int:
-        """Shift-and-reduce product; table-free reference path."""
-        self._check(a)
-        self._check(b)
-        r = 0
-        red = self.reduction.bits
-        top = 1 << self.n
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= red
-        return r
-
     def mul(self, a: int, b: int) -> int:
-        """Field product, via log/antilog tables when available."""
-        if self.antilog_table is None or self.log_table is None:
-            return self.mul_naive(a, b)
+        """Field product x^(log a + log b)."""
         self._check(a)
         self._check(b)
         if a == 0 or b == 0:
             return 0
-        m = self.order - 1
-        return self.antilog_table[(self.log_table[a] + self.log_table[b]) % m]
+        return self.antilog_table[(self.log_table[a] + self.log_table[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by extended Euclid on polynomials."""
+        """Multiplicative inverse x^(-log a)."""
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.n})")
-        red = self.reduction.bits
-        r0, r1 = red, a
-        t0, t1 = 0, 1
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 ^ poly_mul(q, t1)
-        # r0 is gcd(reduction, a) = 1 in a field
-        return poly_mod(t0, red)
+        return self.antilog_table[-self.log_table[a]]  # index -0 is x^0 = 1
 
     def div(self, a: int, b: int) -> int:
         """Field division a/b."""

@@ -1,10 +1,10 @@
 """Enumeration and classification of irreducible and primitive polynomials
 over GF(2).
 
-Candidates are classified by Rabin's irreducibility test; exhaustive trial
-division (`is_irreducible_trial`, from :mod:`lftcipher.gf2n`) is the
-independent reference it must agree with.  A polynomial is primitive when
-x has multiplicative order 2^n - 1 modulo it.
+Candidates are classified by Rabin's irreducibility test; the test suite's
+exhaustive trial division is the independent reference it must agree with.
+A polynomial is primitive when x has multiplicative order 2^n - 1 modulo
+it; :class:`lftcipher.gf2n.FieldSpec` accepts no other modulus.
 """
 
 from __future__ import annotations

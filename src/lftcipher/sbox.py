@@ -186,27 +186,32 @@ def _times_all_bytes(k: int, log: np.ndarray, antilog: np.ndarray) -> np.ndarray
 
 
 def family_polys(polys) -> tuple[int, ...]:
-    """polys as a tuple, checked to list the 16 primitive degree-8
+    """polys as a tuple of ints, checked to list the 16 primitive degree-8
     polynomials of the golden list, each once, in any order.
 
-    This is the one check of a family's polynomials.  A mask of another
-    degree is named by its degree alone, so that a hostile mask of
-    thousands of bits still gives a short message.
+    This is the one check of a family's polynomials.  Each mask must be an
+    integer and not a bool: a float equal to a mask is refused, not stored.
+    A mask of another degree is named by its degree alone, so that a
+    hostile mask of thousands of bits still gives a short message.
     """
-    polys = tuple(polys)
+    checked: list[int] = []
     for i, mask in enumerate(polys):
+        if isinstance(mask, bool) or not isinstance(mask, numbers.Integral):
+            raise ValueError(f"polynomial {i + 1} is a {type(mask).__name__}, not an integer mask")
+        mask = int(mask)
         if mask not in golden.PRIMITIVE_POLY_MASKS:
             poly = BinaryPoly(mask)
             if poly.degree != 8:
                 raise ValueError(f"polynomial {i + 1} has degree {poly.degree}, not degree 8")
             raise ValueError(f"{poly.monomials()} is not primitive")
-        if mask in polys[:i]:
+        if mask in checked:
             raise ValueError(f"{BinaryPoly(mask).monomials()} is listed twice")
-    if len(polys) != len(golden.PRIMITIVE_POLY_MASKS):
+        checked.append(mask)
+    if len(checked) != len(golden.PRIMITIVE_POLY_MASKS):
         raise ValueError(
-            f"expected {len(golden.PRIMITIVE_POLY_MASKS)} polynomials, got {len(polys)}"
+            f"expected {len(golden.PRIMITIVE_POLY_MASKS)} polynomials, got {len(checked)}"
         )
-    return polys
+    return tuple(checked)
 
 
 def build_family(
@@ -217,20 +222,22 @@ def build_family(
     `polys` must pass family_polys; each box carries LftParams provenance
     whose poly_index names its polynomial in the golden list.
 
-    The last 8 families are memoised per (a, b, c, d, tuple(polys)), with
-    argument types part of the key, so `True` or `1.0` still meets
-    LftParams' check after `1` is cached.  Equal arguments return the same
+    The last 8 families are memoised per (a, b, c, d, family_polys(polys)),
+    with the types of a, b, c and d part of the key, so `True` or `1.0`
+    still meets LftParams' check after `1` is cached.  polys is checked
+    before the lookup, on every call, because the memo would take a float
+    mask equal to an int one for it.  Equal arguments return the same
     tuple: its boxes are frozen and hold bytes, so CipherKeys share it.
     Errors are not cached; a bad LFT or polynomial list raises on every call.
     """
-    return _family(a, b, c, d, tuple(polys))
+    return _family(a, b, c, d, family_polys(polys))
 
 
 @lru_cache(maxsize=8, typed=True)  # a process or a key sweep uses one family
 def _family(a: int, b: int, c: int, d: int, polys: tuple[int, ...]) -> tuple[LftSBox, ...]:
     return tuple(
         build_sbox(LftParams(a, b, c, d, poly_index=golden.PRIMITIVE_POLY_MASKS.index(mask) + 1))
-        for mask in family_polys(polys)
+        for mask in polys
     )
 
 

@@ -44,19 +44,49 @@ def walk_order_of_x(bits: int) -> int | None:
     return None
 
 
+def mul_naive(spec: FieldSpec, a: int, b: int) -> int:
+    """Reference product: shift-and-reduce, one bit of b at a time, with no
+    log tables."""
+    assert 0 <= a < spec.order and 0 <= b < spec.order
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & spec.order:
+            a ^= spec.reduction.bits
+    return r
+
+
 def inv_fermat(spec: FieldSpec, a: int) -> int:
     """Reference inverse a^(2^n - 2) by shift-and-reduce products,
-    independent of the extended Euclid in FieldSpec.inv."""
+    independent of the log tables behind FieldSpec.inv."""
     if a == 0:
         raise ZeroDivisionError(f"0 has no inverse in GF(2^{spec.n})")
     r = 1
     e = spec.order - 2
     while e:
         if e & 1:
-            r = spec.mul_naive(r, a)
-        a = spec.mul_naive(a, a)
+            r = mul_naive(spec, r, a)
+        a = mul_naive(spec, a, a)
         e >>= 1
     return r
+
+
+def poly_mod(a: int, m: int) -> int:
+    """Remainder of the GF(2) polynomial a modulo m != 0."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
+def is_irreducible_trial(bits: int) -> bool:
+    """Reference irreducibility test for degree >= 1: trial division by
+    every polynomial of degree 1..n/2."""
+    n = bits.bit_length() - 1
+    assert n >= 1
+    return all(poly_mod(bits, g) for g in range(2, 1 << (n // 2 + 1)))
 
 
 def flatten(img: ImageBuffer) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_criterion_02_gf16_oracle():
     n_irr = sum(r.irreducible for r in rows)
     n_prim = sum(r.primitive for r in rows)
     spec = FieldSpec(0b11001)  # x^4+x^3+1
-    order_x = spec.generator_order
+    order_x = len(spec.antilog_table)  # the walk of x, kept as the antilog table
     # the alpha-power ladder alpha^4 = alpha^3+1 ... alpha^15 = 1
     ladder_ok = spec.antilog_table == [1, 2, 4, 8, 9, 11, 15, 7, 14, 5, 10, 13, 3, 6, 12]
     square = next(r for r in rows if r.poly.bits == 0b10101)  # x^4+x^2+1

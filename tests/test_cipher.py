@@ -12,6 +12,7 @@ from lftcipher.cipher import (
     substitute,
     xor_mask,
 )
+from lftcipher.golden import DEFAULT_LFT, PRIMITIVE_POLY_MASKS
 from lftcipher.metrics import entropy, npcr_uaci
 from lftcipher.sbox import LftSBox, build_family
 
@@ -279,3 +280,18 @@ class TestCipherKey:
     def test_custom_lft(self):
         key = CipherKey.create(LorenzParams(1, 2, 3), lft=(5, 9, 2, 14))
         assert key.sboxes[0].table != build_family(32, 22, 11, 8)[0].table
+
+    def test_float_and_bool_masks_refused_after_the_int_family_is_cached(self):
+        build_family(*DEFAULT_LFT)
+        floats = [float(m) for m in PRIMITIVE_POLY_MASKS]
+        with pytest.raises(ValueError, match="polynomial 1 is a float, not an integer mask"):
+            CipherKey.create(LorenzParams(1, 2, 3), DEFAULT_LFT, floats)
+        with pytest.raises(ValueError, match="polynomial 1 is a float"):
+            build_family(*DEFAULT_LFT, polys=floats)
+        with pytest.raises(ValueError, match="polynomial 16 is a bool"):
+            build_family(*DEFAULT_LFT, polys=PRIMITIVE_POLY_MASKS[:15] + (True,))
+
+    def test_polys_kept_as_checked_ints(self):
+        key = CipherKey.create(LorenzParams(1, 2, 3), polys=np.array(PRIMITIVE_POLY_MASKS))
+        assert key.polys == PRIMITIVE_POLY_MASKS
+        assert all(type(m) is int for m in key.polys)

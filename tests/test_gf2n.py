@@ -1,16 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import inv_fermat
-from lftcipher.gf2n import (
-    NEG_INF_DEGREE,
-    BinaryPoly,
-    FieldSpec,
-    field,
-    poly_divmod,
-    poly_mod,
-    poly_mul,
-)
+import lftcipher
+from conftest import inv_fermat, mul_naive
+from lftcipher.gf2n import NEG_INF_DEGREE, BinaryPoly, FieldSpec, field
+from lftcipher.polyfind import enumerate_classified
 
 
 # independent schoolbook oracle, deliberately separate from the library path
@@ -64,28 +63,9 @@ class TestBinaryPoly:
             BinaryPoly(-1)
 
 
-class TestRawPolyArithmetic:
-    def test_poly_mul_is_carry_less(self):
-        # (x+1)(x+1) = x^2+1 over GF(2)
-        assert poly_mul(0b11, 0b11) == 0b101
-
-    def test_divmod_reconstructs(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            a = int(rng.integers(0, 1 << 12))
-            b = int(rng.integers(1, 1 << 6))
-            q, r = poly_divmod(a, b)
-            assert poly_mul(q, b) ^ r == a
-            assert r.bit_length() < b.bit_length()
-
-    def test_mod_by_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_mod(5, 0)
-
-
 class TestFieldSpecConstruction:
     def test_reducible_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not primitive"):
             FieldSpec(0b10101)  # x^4+x^2+1 = (x^2+x+1)^2
 
     def test_degree_cap(self):
@@ -93,27 +73,52 @@ class TestFieldSpecConstruction:
             FieldSpec((1 << 17) | 0b11)
 
     def test_primitive_field_has_tables(self, field_p1):
-        assert field_p1.is_primitive
-        assert field_p1.log_table is not None
-        assert field_p1.antilog_table is not None
+        assert len(field_p1.antilog_table) == 255
+        assert len(field_p1.log_table) == 256
 
-    def test_non_primitive_irreducible_field(self):
-        cases = [
-            (0x11B, 51),  # x^8+x^4+x^3+x+1: irreducible, not primitive
-            (0b11111, 5),  # x^4+x^3+x^2+x+1: irreducible, not primitive
-            (0b10, None),  # x: x reduces to 0
-            (0b11, 1),  # x+1: x = 1 generates the one-element group
-        ]
-        for bits, order in cases:
-            spec = FieldSpec(bits)
-            assert spec.generator_order == order, hex(bits)
-            assert spec.is_primitive == (order == spec.order - 1), hex(bits)
-            assert (spec.antilog_table is None) == (not spec.is_primitive), hex(bits)
-            assert (spec.log_table is None) == (not spec.is_primitive), hex(bits)
-        spec = FieldSpec(0x11B)  # no tables: mul() is the shift-and-reduce path
-        for a in range(256):
-            for b in range(256):
-                assert spec.mul(a, b) == spec.mul_naive(a, b)
+    def test_accepts_exactly_the_census_primitives(self):
+        # every monic mask of degree 1..10, even constant terms included
+        for n in range(1, 11):
+            primitive = {r.poly.bits for r in enumerate_classified(n) if r.primitive}
+            for bits in range(1 << n, 1 << (n + 1)):
+                try:
+                    FieldSpec(bits)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (bits in primitive), hex(bits)
+
+    def test_irreducible_but_not_primitive_refused(self):
+        # x^8+x^4+x^3+x+1 (the AES modulus): x has order 51
+        with pytest.raises(ValueError, match="is not primitive") as info:
+            FieldSpec(0x11B)
+        assert str(info.value).startswith("x^8+x^4+x^3+x+1 is not primitive")
+
+    @pytest.mark.parametrize("bits", [
+        0b10101,  # x^4+x^2+1: reducible
+        0x110,  # x^8+x^4: x divides it, and the powers of x cycle without 1
+        0x100,  # x^8: x^8 reduces to 0
+        0b10,  # x: x reduces to 0
+    ])
+    def test_named_refusals(self, bits):
+        with pytest.raises(ValueError, match="not primitive"):
+            FieldSpec(bits)
+
+    def test_refusal_of_cycling_modulus_is_bounded(self):
+        # an unbounded walk of x never ends on x^8+x^4; a subprocess with a
+        # timeout turns such a hang into a failure
+        code = (
+            "from lftcipher.gf2n import FieldSpec\n"
+            "try:\n"
+            "    FieldSpec(0x110)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(lftcipher.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=30)
+        assert run.returncode == 0, run.stderr
+        assert "not primitive" in run.stdout
 
     def test_field_factory_shares_specs(self):
         assert field(0x11D) is field(0x11D)
@@ -151,7 +156,7 @@ class TestMul:
         rng = np.random.default_rng(2)
         for _ in range(2000):
             a, b = (int(v) for v in rng.integers(0, 256, 2))
-            assert field_p1.mul(a, b) == field_p1.mul_naive(a, b)
+            assert field_p1.mul(a, b) == mul_naive(field_p1, a, b)
 
 
 class TestFieldAxioms:
@@ -188,21 +193,15 @@ class TestInv:
         for a in range(1, 256):
             assert field_p1.mul(a, field_p1.inv(a)) == 1
 
-    def test_euclid_equals_fermat_exhaustive(self, field_p1, gf16):
+    def test_log_inverse_equals_fermat_exhaustive(self, field_p1, gf16):
         for spec in (gf16, field_p1):
             for a in range(1, spec.order):
                 assert spec.inv(a) == inv_fermat(spec, a)
 
     def test_gf16_inv_x_against_brute_force(self, gf16):
-        candidates = [b for b in range(1, 16) if gf16.mul_naive(2, b) == 1]
+        candidates = [b for b in range(1, 16) if mul_naive(gf16, 2, b) == 1]
         assert candidates == [12]
         assert gf16.inv(2) == 12
-
-    def test_inv_in_non_primitive_field(self):
-        spec = FieldSpec(0x11B)
-        for a in range(1, 256):
-            assert spec.mul(a, spec.inv(a)) == 1
-            assert spec.inv(a) == inv_fermat(spec, a)
 
 
 class TestLogTables:
@@ -223,7 +222,7 @@ class TestLogTables:
     def test_period_is_exactly_group_order(self, field_p1):
         # one more multiply by x wraps back to 1
         last = field_p1.antilog_table[-1]
-        assert field_p1.mul_naive(last, 2) == 1
+        assert mul_naive(field_p1, last, 2) == 1
 
     def test_log_by_power_iteration_oracle(self, field_p1):
         # iterate powers of x independently; x^4+x^2+x (= 22) appears at 239
@@ -231,7 +230,7 @@ class TestLogTables:
         seen = {}
         while v not in seen:
             seen[v] = k
-            v = field_p1.mul_naive(v, 2)
+            v = mul_naive(field_p1, v, 2)
             k += 1
         assert seen[22] == 239
         assert seen[8] == 3
@@ -242,5 +241,5 @@ class TestLogTables:
         # alpha^4 = alpha^3+1 and onward up to alpha^15 = 1
         expected = [1, 2, 4, 8, 9, 11, 15, 7, 14, 5, 10, 13, 3, 6, 12]
         assert gf16.antilog_table == expected
-        assert gf16.mul_naive(expected[-1], 2) == 1
+        assert mul_naive(gf16, expected[-1], 2) == 1
 

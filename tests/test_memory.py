@@ -14,7 +14,7 @@ import pytest
 from lftcipher import CipherKey, ImageBuffer, decrypt, encrypt, lorenz
 from lftcipher.cli import main
 from lftcipher.keyfile import KeyFileError, parse_key_text
-from lftcipher.netpbm import ImageFormatError, parse_image, write_image
+from lftcipher.netpbm import ImageFormatError, parse_image, read_image, write_image
 
 MB = 1 << 20
 SIDE = 1024
@@ -83,6 +83,28 @@ def test_parse_rejects_trailing_bytes_before_copying_them(traced):
     with pytest.raises(ImageFormatError, match="trailing bytes"):
         parse_image(data)
     assert tracemalloc.get_traced_memory()[1] - before < MB
+
+
+def test_read_refuses_trailing_bytes_without_reading_them(tmp_path, traced):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n16 16\n255\n" + bytes(16 * 16 + 8 * MB))
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    with pytest.raises(ImageFormatError, match=f"{8 * MB} trailing bytes after pixel payload"):
+        read_image(path)
+    assert tracemalloc.get_traced_memory()[1] - before < MB
+
+
+def test_read_holds_the_payload_once(rgb_and_stream, tmp_path, traced):
+    img = rgb_and_stream[0]
+    path = tmp_path / "in.ppm"
+    write_image(img, path)
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    assert read_image(path) == img
+    # the 3 MB payload is read into the image's own bytes, not sliced from
+    # a copy of the whole file
+    assert tracemalloc.get_traced_memory()[1] - before < len(img.data) + MB // 2
 
 
 def test_write_makes_no_encoded_copy(rgb_and_stream, tmp_path, traced):

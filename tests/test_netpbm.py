@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,13 @@ from lftcipher.netpbm import (
     read_raw,
     write_image,
 )
+
+
+class _Pipe(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe cannot."""
+
+    def seekable(self) -> bool:
+        return False
 
 
 class TestRoundTrip:
@@ -72,6 +81,18 @@ class TestParsing:
     def test_header_eof(self):
         with pytest.raises(ImageFormatError, match="unexpected end"):
             parse_image(b"P5\n2")
+
+    def test_overlong_header_integer_is_a_format_error(self):
+        # int() would raise its own ValueError past 4,300 digits
+        with pytest.raises(ImageFormatError, match="expected integer width at byte 3"):
+            parse_image(b"P5 " + b"9" * 5000 + b" 1 255\n")
+
+    def test_unseekable_stream(self):
+        assert parse_image(_Pipe(b"P5\n2 1\n255\n\x01\x02")).data == b"\x01\x02"
+        with pytest.raises(ImageFormatError, match=r": trailing bytes after pixel payload at byte 13$"):
+            parse_image(_Pipe(b"P5\n2 1\n255\n\x01\x02\x03\x04"))
+        with pytest.raises(ImageFormatError, match="expected 2 bytes, found 1$"):
+            parse_image(_Pipe(b"P5\n2 1\n255\n\x01"))
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ImageFormatError, match="positive"):

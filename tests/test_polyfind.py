@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import walk_order_of_x
-from lftcipher.gf2n import BinaryPoly, FieldSpec, is_irreducible_trial
+from conftest import is_irreducible_trial, walk_order_of_x
+from lftcipher.gf2n import BinaryPoly, FieldSpec
 from lftcipher.golden import PRIMITIVE_POLY_MASKS
 from lftcipher.polyfind import (
     PolyClassification,
@@ -37,12 +37,14 @@ class TestIrreducibility:
         assert not census_row(0b10101).irreducible
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            is_irreducible_trial(1)
+        # FieldSpec's walk of x is the library's irreducibility test
+        with pytest.raises(ValueError, match="degree >= 1"):
+            FieldSpec(1)
 
     def test_accepts_binarypoly(self):
-        assert is_irreducible_trial(BinaryPoly(0x11D))
-        assert not is_irreducible_trial(BinaryPoly(0b10101))
+        assert FieldSpec(BinaryPoly(0x11D)).n == 8
+        with pytest.raises(ValueError, match="not primitive"):
+            FieldSpec(BinaryPoly(0b10101))
 
 
 class TestCounts:
@@ -107,11 +109,15 @@ class TestEnumeration:
                 assert r.order is not None and r.order < 255 and 255 % r.order == 0
 
     def test_primitive_order_confirmed_by_field_arithmetic(self):
-        # independent route: FieldSpec walks x, x^2, ... one product at a time
+        # independent route: walk x, x^2, ... one product at a time; a
+        # FieldSpec exists only for the primitive rows, and its antilog table
+        # is that walk
         for n in range(2, 11):
             for r in enumerate_classified(n):
-                if r.irreducible:
-                    assert FieldSpec(r.poly.bits).generator_order == r.order, hex(r.poly.bits)
+                if r.primitive:
+                    assert len(FieldSpec(r.poly.bits).antilog_table) == r.order, hex(r.poly.bits)
+                elif r.irreducible:
+                    assert walk_order_of_x(r.poly.bits) == r.order, hex(r.poly.bits)
 
     def test_degree_four_primitive_set(self):
         prim = {r.poly.bits for r in enumerate_classified(4) if r.primitive}
