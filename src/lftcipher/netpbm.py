@@ -1,6 +1,10 @@
 """Binary PGM (P5) and PPM (P6) image I/O, maxval 255 only, plus a raw
 headerless mode.  Chosen over PNG to keep byte-exact round-trip contracts
 without an external decoder.
+
+PGM, PPM and raw input share one payload reader, _read_payload: one size
+policy, one refusal of shapes past MAX_KEYSTREAM_LENGTH pixels and one
+error text for all three.
 """
 
 from __future__ import annotations
@@ -10,10 +14,12 @@ import os
 from typing import BinaryIO
 
 from .cipher import ImageBuffer
+from .lorenz import MAX_KEYSTREAM_LENGTH
 
 _WHITESPACE = b" \t\r\n\v\f"
 _MAX_TOKEN = 20  # digits of a header integer, checked before int() sees them
 _LINE = 4096  # bytes of a comment read at a time
+_CHUNK = 1 << 20  # bytes of a pipe's payload read at a time
 
 
 class ImageFormatError(ValueError):
@@ -65,44 +71,66 @@ def _read_header(f: BinaryIO, source: str) -> tuple[int, int, int, int]:
     return width, height, channels, pos + 1
 
 
-def _bytes_left(f: BinaryIO) -> int | None:
-    """Bytes from f's position to its end; None when f cannot seek (a pipe)."""
-    if not f.seekable():
-        return None
-    here = f.tell()
-    end = f.seek(0, os.SEEK_END)
-    f.seek(here)
-    return end - here
+def _read_pipe(f: BinaryIO, n: int) -> bytes:
+    """At most n bytes of an unseekable f, read in chunks, so that memory
+    follows the bytes that come and not the n a header claims."""
+    buf = io.BytesIO()
+    while n > 0:
+        chunk = f.read(min(n, _CHUNK))
+        if not chunk:
+            break
+        buf.write(chunk)
+        n -= len(chunk)
+    return buf.getvalue()  # BytesIO hands over its buffer, with no copy
+
+
+def _read_payload(
+    f: BinaryIO, width: int, height: int, channels: int, source: str, pos: int
+) -> ImageBuffer:
+    """The width x height x channels pixels at f's position, byte pos of source.
+
+    The shape is checked before any byte is read. Then at most the payload
+    plus one byte is read: from a regular file in one read straight into the
+    image's bytes, and not at all when its size is wrong; from a pipe in
+    chunks of at most _CHUNK bytes.
+    """
+    if not (width >= 1 and height >= 1 and width * height <= MAX_KEYSTREAM_LENGTH
+            and channels in (1, 3)):
+        raise ImageFormatError(
+            f"{source}: cannot read a {width}x{height}x{channels} image: width and height"
+            f" must be positive, with at most {MAX_KEYSTREAM_LENGTH} pixels and 1 or 3 channels"
+        )
+    expected = width * height * channels
+    if f.seekable():
+        here = f.tell()
+        found = f.seek(0, os.SEEK_END) - here
+        f.seek(here)
+        payload = f.read(expected + 1) if found == expected else b""
+        count = f"{found - expected} "
+    else:
+        payload = _read_pipe(f, expected + 1)
+        found = len(payload)
+        count = ""  # a pipe is read only one byte past the payload
+    if found < expected:
+        raise ImageFormatError(
+            f"{source}: truncated payload at byte {pos}: expected"
+            f" {width}x{height}x{channels} = {expected} bytes, found {found}"
+        )
+    if found > expected:
+        raise ImageFormatError(
+            f"{source}: {count}trailing bytes after pixel payload at byte {pos + expected}"
+        )
+    return ImageBuffer(width, height, channels, payload)
 
 
 def parse_image(data: bytes | BinaryIO, source: str = "<bytes>") -> ImageBuffer:
     """Decode a binary PGM/PPM from bytes or from a binary file at its start.
 
-    The header is read first, then at most the payload plus one byte, and
-    none at all when a seekable input's size is already wrong.  The payload
-    is read into the ImageBuffer's own bytes, with no further copy.
+    The header is read first, then the payload as _read_payload reads it.
     """
     f = io.BytesIO(data) if isinstance(data, (bytes, bytearray, memoryview)) else data
     width, height, channels, pos = _read_header(f, source)
-    expected = width * height * channels
-    size = _bytes_left(f)
-    payload = f.read(expected + 1) if size in (None, expected) else b""
-    found = len(payload) if size is None else size
-    if found < expected:
-        raise ImageFormatError(
-            f"{source}: truncated payload at byte {pos}: expected {expected} bytes,"
-            f" found {found}"
-        )
-    if found > expected:
-        # a pipe is read only one byte past the payload, so its count is unknown
-        count = "" if size is None else f"{found - expected} "
-        raise ImageFormatError(
-            f"{source}: {count}trailing bytes after pixel payload at byte {pos + expected}"
-        )
-    try:
-        return ImageBuffer(width, height, channels, payload)
-    except ValueError as e:  # zero dimensions and kin
-        raise ImageFormatError(f"{source}: {e}") from None
+    return _read_payload(f, width, height, channels, source, pos)
 
 
 def read_image(path: str | os.PathLike) -> ImageBuffer:
@@ -128,20 +156,7 @@ def write_image(img: ImageBuffer, path: str | os.PathLike) -> None:
 
 
 def read_raw(path: str | os.PathLike, width: int, height: int, channels: int = 1) -> ImageBuffer:
-    """Read headerless bytes with externally supplied dimensions.
-
-    At most one byte past the expected size is read, enough to tell a long
-    file without holding it.  read(n) allocates n bytes up front, so n is
-    also capped by a regular file's size (st_size is 0 for a pipe).
-    """
-    expected = width * height * channels
+    """Read headerless bytes with externally supplied dimensions; see
+    _read_payload for how much is read."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size or expected
-        data = f.read(max(min(expected, size), 0) + 1)
-    if len(data) != expected:
-        found = len(data) if len(data) < expected else f"over {expected}"
-        raise ImageFormatError(
-            f"{path}: raw payload is {found} bytes, expected"
-            f" {width}x{height}x{channels} = {expected}"
-        )
-    return ImageBuffer(width, height, channels, data)
+        return _read_payload(f, width, height, channels, str(path), 0)

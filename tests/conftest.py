@@ -1,3 +1,4 @@
+import io
 import shutil
 
 import numpy as np
@@ -29,6 +30,15 @@ def make_natural_image(seed: int, width: int = 256, height: int = 256) -> ImageB
         img += amp * np.exp(-(((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * r * r)))
     img += rng.normal(0, 2.0, img.shape)
     return ImageBuffer.from_array(np.clip(img, 0, 255).astype(np.uint8))
+
+
+class Unseekable(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe cannot. Its read(n) does
+    not allocate n bytes ahead as a real pipe's does, so the memory tests
+    use os.pipe()."""
+
+    def seekable(self) -> bool:
+        return False
 
 
 def walk_order_of_x(bits: int) -> int | None:

@@ -5,7 +5,9 @@ numpy reports its data buffers to tracemalloc, so these figures count array
 memory exactly and do not depend on the layout of the malloc heap.
 """
 
+import contextlib
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from lftcipher import CipherKey, ImageBuffer, decrypt, encrypt, lorenz
 from lftcipher.cli import main
 from lftcipher.keyfile import KeyFileError, parse_key_text
-from lftcipher.netpbm import ImageFormatError, parse_image, read_image, write_image
+from lftcipher.netpbm import ImageFormatError, parse_image, read_image, read_raw, write_image
 
 MB = 1 << 20
 SIDE = 1024
@@ -147,13 +149,14 @@ def test_huge_exponent_is_refused_before_it_is_built(traced):
     assert tracemalloc.get_traced_memory()[1] < MB
 
 
-@pytest.mark.parametrize("side, size", [(512, 512 * 512 + MB), (8192, 16)],
-                         ids=["file-1-mib-too-long", "dimensions-past-the-file"])
+@pytest.mark.parametrize("side, size, message", [
+    (512, 512 * 512 + MB, f"{MB} trailing bytes after pixel payload at byte {512 * 512}"),
+    (8192, 16, "truncated payload at byte 0: expected 8192x8192x1 = 67108864 bytes, found 16"),
+], ids=["file-1-mib-too-long", "dimensions-past-the-file"])
 def test_raw_file_of_the_wrong_size_is_refused_after_a_bounded_read(
-    tmp_path, capsys, traced, side, size
+    tmp_path, capsys, traced, side, size, message
 ):
-    # read(n) allocates n bytes up front, so the read is held to the
-    # smaller of the expected size and the file's
+    # a regular file's size is checked before the read, so neither is read
     raw = tmp_path / "wrong.raw"
     raw.touch()
     os.truncate(raw, size)  # sparse: no disk blocks behind it
@@ -165,4 +168,93 @@ def test_raw_file_of_the_wrong_size_is_refused_after_a_bounded_read(
     assert tracemalloc.get_traced_memory()[1] < min(size, side * side) + MB // 4
     err = capsys.readouterr().err
     assert err.startswith("error:image-format:") and err.count("\n") == 1
-    assert f"expected {side}x{side}x1 = {side * side}" in err
+    assert message in err
+
+
+@contextlib.contextmanager
+def _pipe(data: bytes):
+    """A binary file reading a real pipe that holds data and then ends.
+
+    A writer thread feeds it, since a pipe buffers only about 64 KiB; data
+    is sent through memoryview slices, so the writer allocates no copies.
+    """
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb", buffering=0) as out:
+            view = memoryview(data)
+            try:
+                while view:
+                    view = view[out.write(view[:1 << 16]):]
+            except BrokenPipeError:  # the reader stopped early
+                pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with os.fdopen(r, "rb") as f:
+            yield f
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def _read_pipe_with(reader: str, data: bytes, width: int, height: int) -> ImageBuffer:
+    with _pipe(data) as f:
+        if reader == "parse_image":
+            return parse_image(f, source="<pipe>")
+        return read_raw(f"/dev/fd/{f.fileno()}", width, height)
+
+
+@pytest.mark.parametrize("reader", ["parse_image", "read_raw"])
+def test_pipe_claiming_a_large_payload_is_read_in_bounded_chunks(traced, reader):
+    # read(n) on a pipe allocates the n bytes a header claims, 16 MB here
+    header = b"P5\n4000 4000\n255\n" if reader == "parse_image" else b""
+    tracemalloc.reset_peak()
+    with pytest.raises(ImageFormatError, match="expected 4000x4000x1 = 16000000 bytes, found 1$"):
+        _read_pipe_with(reader, header + b"A", 4000, 4000)
+    assert tracemalloc.get_traced_memory()[1] < 2 * MB
+
+
+@pytest.mark.parametrize("reader", ["parse_image", "read_raw"])
+def test_pipe_payload_is_held_once(traced, reader):
+    payload = bytes(range(256)) * (4 * MB // 256)
+    header = b"P5\n2048 2048\n255\n" if reader == "parse_image" else b""
+    data = header + payload
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    img = _read_pipe_with(reader, data, 2048, 2048)
+    assert img.data == payload
+    # the chunks are gathered in one growing buffer, not joined from a list
+    assert tracemalloc.get_traced_memory()[1] - before < len(payload) * 9 // 8 + 2 * MB
+
+
+def test_image_over_the_keystream_limit_is_refused_before_its_payload(traced):
+    # 16384 x 16384 = 2^28 pixels, four times what a keystream covers
+    tracemalloc.reset_peak()
+    with pytest.raises(ImageFormatError, match="cannot read a 16384x16384x1 image"):
+        _read_pipe_with("parse_image", b"P5\n16384 16384\n255\nA", 16384, 16384)
+    assert tracemalloc.get_traced_memory()[1] < MB
+
+
+@pytest.mark.parametrize("command, shape, size", [
+    ("encrypt", "16384x16384", 16384 * 16384),
+    ("metrics", "0x4", 0),
+], ids=["over-the-keystream-limit", "zero-width"])
+def test_raw_shape_is_refused_before_the_read(tmp_path, capsys, traced, command, shape, size):
+    raw = tmp_path / "in.raw"
+    raw.touch()
+    os.truncate(raw, size)  # sparse: no disk blocks behind it
+    argv = [command, "--in", str(raw), "--raw", shape]
+    if command == "encrypt":
+        key = tmp_path / "key.txt"
+        key.write_text("x0=1.1\ny0=2.3\nz0=3.7\n")
+        argv += ["--out", str(tmp_path / "ct.raw"), "--key", str(key)]
+    main(argv)  # leave first-call imports out
+    capsys.readouterr()
+    tracemalloc.reset_peak()
+    assert main(argv) == 1
+    assert tracemalloc.get_traced_memory()[1] < MB
+    err = capsys.readouterr().err
+    assert err.startswith("error:image-format:") and err.count("\n") == 1
+    assert "width and height must be positive" in err

@@ -1,8 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
+from conftest import Unseekable
 from lftcipher.cipher import ImageBuffer
 from lftcipher.netpbm import (
     ImageFormatError,
@@ -11,13 +10,6 @@ from lftcipher.netpbm import (
     read_raw,
     write_image,
 )
-
-
-class _Pipe(io.BytesIO):
-    """A binary stream that cannot seek, as a pipe cannot."""
-
-    def seekable(self) -> bool:
-        return False
 
 
 class TestRoundTrip:
@@ -88,11 +80,11 @@ class TestParsing:
             parse_image(b"P5 " + b"9" * 5000 + b" 1 255\n")
 
     def test_unseekable_stream(self):
-        assert parse_image(_Pipe(b"P5\n2 1\n255\n\x01\x02")).data == b"\x01\x02"
+        assert parse_image(Unseekable(b"P5\n2 1\n255\n\x01\x02")).data == b"\x01\x02"
         with pytest.raises(ImageFormatError, match=r": trailing bytes after pixel payload at byte 13$"):
-            parse_image(_Pipe(b"P5\n2 1\n255\n\x01\x02\x03\x04"))
-        with pytest.raises(ImageFormatError, match="expected 2 bytes, found 1$"):
-            parse_image(_Pipe(b"P5\n2 1\n255\n\x01"))
+            parse_image(Unseekable(b"P5\n2 1\n255\n\x01\x02\x03\x04"))
+        with pytest.raises(ImageFormatError, match="expected 2x1x1 = 2 bytes, found 1$"):
+            parse_image(Unseekable(b"P5\n2 1\n255\n\x01"))
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ImageFormatError, match="positive"):
