@@ -30,7 +30,6 @@ _ERROR_CODES: tuple[tuple[type, str], ...] = (
     (IntegrationError, "integration"),
     (FileNotFoundError, "file-not-found"),
     (OSError, "io"),
-    (ZeroDivisionError, "invalid-input"),
     (ValueError, "invalid-input"),
 )
 

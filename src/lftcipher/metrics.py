@@ -178,8 +178,11 @@ def chi_square_uniform(img: ImageBuffer) -> float:
     return float(((counts - expected) ** 2 / expected).sum())
 
 
-def npcr_uaci(c1: ImageBuffer, c2: ImageBuffer, location: str | None = None) -> AvalancheReport:
-    """Byte change rate and mean intensity change between two images."""
+def _byte_diff(c1: ImageBuffer, c2: ImageBuffer) -> tuple[int, int, int]:
+    """(bytes, bytes that differ, sum of |a - b|) over two images of one shape.
+
+    The differences are held in one int16 array, two bytes per image byte.
+    """
     if (c1.width, c1.height, c1.channels) != (c2.width, c2.height, c2.channels):
         raise ValueError(
             f"dimension mismatch: {c1.width}x{c1.height}x{c1.channels} vs "
@@ -189,9 +192,13 @@ def npcr_uaci(c1: ImageBuffer, c2: ImageBuffer, location: str | None = None) -> 
     b = np.frombuffer(c2.data, dtype=np.uint8)
     diff = np.subtract(a, b, dtype=np.int16)
     np.abs(diff, out=diff)
-    npcr = int(np.count_nonzero(diff)) / a.size * 100
-    uaci = int(diff.sum(dtype=np.int64)) / 255 / a.size * 100
-    return AvalancheReport(npcr, uaci, location)
+    return a.size, int(np.count_nonzero(diff)), int(diff.sum(dtype=np.int64))
+
+
+def npcr_uaci(c1: ImageBuffer, c2: ImageBuffer, location: str | None = None) -> AvalancheReport:
+    """Byte change rate and mean intensity change between two images."""
+    n, changed, total = _byte_diff(c1, c2)
+    return AvalancheReport(changed / n * 100, total / 255 / n * 100, location)
 
 
 def noise_experiment(img: ImageBuffer, key: CipherKey, corrupted: int) -> NoiseReport:
@@ -199,16 +206,14 @@ def noise_experiment(img: ImageBuffer, key: CipherKey, corrupted: int) -> NoiseR
     decrypt, and report how much of the plaintext survives."""
     if not 0 <= corrupted <= len(img.data):
         raise ValueError(f"corrupted must be in 0..{len(img.data)}, got {corrupted}")
-    ct = encrypt(img, key)
-    damaged = bytearray(ct.data)
-    damaged[:corrupted] = b"\xff" * corrupted
-    recovered = decrypt(ImageBuffer(ct.width, ct.height, ct.channels, bytes(damaged)), key)
-    a = np.frombuffer(img.data, dtype=np.uint8).astype(np.int64)
-    b = np.frombuffer(recovered.data, dtype=np.uint8).astype(np.int64)
+    ct = encrypt(img, key).data
+    ct = b"\xff" * corrupted + ct[corrupted:]  # the clean ciphertext is freed here
+    recovered = decrypt(ImageBuffer(img.width, img.height, img.channels, ct), key)
+    n, changed, total = _byte_diff(img, recovered)
     return NoiseReport(
         corrupted=corrupted,
-        match_fraction=float((a == b).mean()),
-        mean_abs_error=float(np.abs(a - b).mean()),
+        match_fraction=(n - changed) / n,
+        mean_abs_error=total / n,
         recovered=recovered,
     )
 

@@ -1,10 +1,11 @@
 """Enumeration and classification of irreducible and primitive polynomials
 over GF(2).
 
-Candidates are classified by Rabin's irreducibility test; the test suite's
-exhaustive trial division is the independent reference it must agree with.
-A polynomial is primitive when x has multiplicative order 2^n - 1 modulo
-it; :class:`lftcipher.gf2n.FieldSpec` accepts no other modulus.
+Irreducibility is decided by its definition: every product of two monic
+factors of degree 1..n-1 is formed and struck out of the degree-n census.
+The test suite's trial division is the independent reference it must agree
+with.  A polynomial is primitive when x has multiplicative order 2^n - 1
+modulo it; :class:`lftcipher.gf2n.FieldSpec` accepts no other modulus.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import BinaryPoly
+from .gf2n import MAX_DEGREE, BinaryPoly
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,24 @@ def _totient(n: int) -> int:
     return r
 
 
+def _irreducible(n: int) -> np.ndarray:
+    """Whether each monic f of degree n is irreducible, indexed by f - 2^n.
+
+    f is reducible iff f = g * h for monic g of some degree d in 1..n/2.
+    For each d all 2^d * 2^(n - d) carry-less products g * h are formed in
+    one array, one bit of g at a time, and struck out.
+    """
+    irreducible = np.ones(1 << n, dtype=bool)
+    for d in range(1, n // 2 + 1):
+        g = np.arange(1 << d, 2 << d, dtype=np.uint32)[:, None]
+        h = np.arange(1 << (n - d), 2 << (n - d), dtype=np.uint32)
+        f = np.zeros((g.size, h.size), dtype=np.uint32)
+        for k in range(d + 1):
+            f ^= (g >> k & 1) * (h << k)
+        irreducible[f - (1 << n)] = False
+    return irreducible
+
+
 # ---------------------------------------------------------------------------
 # array arithmetic modulo a batch of polynomials of one degree n <= 16
 # ---------------------------------------------------------------------------
@@ -126,33 +145,12 @@ def _mulmod(a: np.ndarray, b: np.ndarray, mods: np.ndarray, n: int) -> np.ndarra
 
 
 def _x_chain(mods: np.ndarray, n: int) -> np.ndarray:
-    """Row k holds x^(2^k) mod f, for k = 0..n: n squarings from x."""
-    chain = np.empty((n + 1, mods.shape[1]), dtype=np.uint32)
+    """Row k holds x^(2^k) mod f, for k < n: n - 1 squarings from x."""
+    chain = np.empty((n, mods.shape[1]), dtype=np.uint32)
     chain[0] = _reduce(np.full(mods.shape[1], 2, dtype=np.uint32), mods, n, 1)
-    for k in range(n):
+    for k in range(n - 1):
         chain[k + 1] = _sqrmod(chain[k], mods, n)
     return chain
-
-
-def _strip_x(a: np.ndarray) -> np.ndarray:
-    """a with every factor x divided out; 0 stays 0."""
-    return a // np.maximum(a & (~a + 1), 1)
-
-
-def _coprime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether gcd(a, b) = 1, by the binary Euclid algorithm.
-
-    x divides both when both constant terms are 0.  Otherwise x is divided
-    out of both, and the larger of two odd values is replaced by their sum,
-    x divided out, until one side is 0; the other is then the gcd.
-    """
-    coprime = ((a | b) & 1) == 1
-    a, b = _strip_x(a), _strip_x(b)
-    while (live := b != 0).any():
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        a = np.where(live, lo, a)
-        b = np.where(live, _strip_x(hi ^ lo), 0)
-    return coprime & (a == 1)
 
 
 def _x_power(e: np.ndarray, chain: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
@@ -188,25 +186,15 @@ def _orders(chain: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
     return order
 
 
-def _rabin(mods: np.ndarray, chain: np.ndarray, n: int) -> np.ndarray:
-    """Rabin's test on each modulus f = mods[0], given its chain x^(2^k) mod f.
-
-    f of degree n is irreducible iff f divides x^(2^n) - x and
-    gcd(f, x^(2^(n/p)) - x mod f) = 1 for every prime p dividing n.
-    """
-    x = chain[0]
-    irreducible = chain[n] == x
-    for p in _prime_factors(n):
-        cols = np.flatnonzero(irreducible)
-        irreducible[cols] = _coprime(mods[0, cols], chain[n // p, cols] ^ x[cols])
-    return irreducible
+def _check_degree(n: int) -> None:
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
 
 
 def count_irreducible(n: int) -> int:
     """Number of monic irreducible degree-n polynomials over GF(2):
     (1/n) * sum over d | n of mu(d) * 2^(n/d)."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
@@ -216,8 +204,7 @@ def count_irreducible(n: int) -> int:
 
 def count_primitive(n: int) -> int:
     """Number of primitive degree-n polynomials over GF(2): phi(2^n - 1) / n."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     return _totient(2**n - 1) // n
 
 
@@ -227,20 +214,19 @@ def enumerate_classified(n: int) -> list[PolyClassification]:
     Candidates with constant term 0 are omitted for n >= 2 since they are
     divisible by x; for n = 1 the polynomial x itself is included (it is
     the one irreducible polynomial with constant term 0).  All candidates
-    are classified in one batch: one chain of squarings of x serves both
-    Rabin's test and the order of x.
+    are classified in one batch: one sieve of products decides
+    irreducibility, and one chain of squarings of x modulo each irreducible
+    candidate gives the order of x.
     """
-    if not 1 <= n <= 16:
-        raise ValueError("degree must be in 1..16")
+    _check_degree(n)
     if n == 1:
         fs = np.array([0b10, 0b11], dtype=np.uint32)
     else:
         fs = np.arange((1 << n) + 1, 1 << (n + 1), 2, dtype=np.uint32)
-    mods = _moduli(fs, n)
-    chain = _x_chain(mods, n)
-    irreducible = _rabin(mods, chain, n)
+    irreducible = _irreducible(n)[fs - (1 << n)]
+    mods = _moduli(fs[irreducible], n)
     order = np.zeros_like(fs)
-    order[irreducible] = _orders(chain[:, irreducible], mods[:, irreducible], n)
+    order[irreducible] = _orders(_x_chain(mods, n), mods, n)
     full = (1 << n) - 1
     return [
         PolyClassification(BinaryPoly(f), irr, o == full, o or None)

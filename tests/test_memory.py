@@ -16,6 +16,7 @@ import pytest
 from lftcipher import CipherKey, ImageBuffer, decrypt, encrypt, lorenz
 from lftcipher.cli import main
 from lftcipher.keyfile import KeyFileError, parse_key_text
+from lftcipher.metrics import noise_experiment
 from lftcipher.netpbm import ImageFormatError, parse_image, read_image, read_raw, write_image
 
 MB = 1 << 20
@@ -76,6 +77,23 @@ def test_cipher_stage_without_stream_peaks_at_the_keystream_peak(
     assert len(out.data) == len(img.data)
     # k is dropped once digested, so the stage's output never sits beside it
     assert tracemalloc.get_traced_memory()[1] - before <= keystream_peak + MB // 2
+
+
+def test_noise_experiment_peaks_at_the_keystream_peak_plus_four_images(
+    test_key, rgb_and_stream, traced
+):
+    img = rgb_and_stream[0]
+    noise_experiment(img, test_key, 10)  # leave first-call imports out
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    lorenz.keystream(test_key.lorenz, img.pixel_count)
+    keystream_peak = tracemalloc.get_traced_memory()[1] - before
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    report = noise_experiment(img, test_key, 10000)
+    assert report.match_fraction < 1.0
+    # the damaged ciphertext and an int16 difference are all that come on top
+    assert tracemalloc.get_traced_memory()[1] - before <= keystream_peak + 4 * len(img.data)
 
 
 def test_parse_rejects_trailing_bytes_before_copying_them(traced):

@@ -291,6 +291,14 @@ class TestNoiseExperiment:
         assert rep.match_fraction >= 0.80
         assert rep.recovered.width == 256
 
+    def test_fractions_equal_the_int64_means(self, natural_image, test_key):
+        rep = noise_experiment(natural_image, test_key, 10000)
+        a = np.frombuffer(natural_image.data, dtype=np.uint8).astype(np.int64)
+        b = np.frombuffer(rep.recovered.data, dtype=np.uint8).astype(np.int64)
+        assert rep.match_fraction == float((a == b).mean())
+        assert rep.mean_abs_error == float(np.abs(a - b).mean())
+        assert 0 < rep.mean_abs_error
+
     def test_bounds_checked(self, natural_image, test_key):
         with pytest.raises(ValueError):
             noise_experiment(natural_image, test_key, 65537)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import is_irreducible_trial, walk_order_of_x
@@ -79,6 +81,17 @@ class TestBatchCensus:
                 assert r.order == order, hex(bits)
                 assert r.primitive == (order == (1 << n) - 1), hex(bits)
 
+    @pytest.mark.parametrize("n, digest", [
+        (13, "dfc330b1253cd65fab952880f45b70c115e48f5c3e7aae79ba9960f7e1d0c004"),
+        (14, "a0547bf4e38bca31ea0660978126ac913a4bf01fc94432e33496b796f6c5f74d"),
+        (15, "bc029c5f11142973f2973b429025fb7607ff9ddd3926223c76e9c75bd9d6cb05"),
+        (16, "301ff1f26ac9e50bf5c2c025fd472a82c0a24220eea1a9bdea35a87bf8f8e588"),
+    ])
+    def test_rows_pinned_at_degrees_13_to_16(self, n, digest):
+        # rows of the earlier Rabin's-test classifier: a reference independent of the sieve
+        rows = [(r.poly.bits, r.irreducible, r.primitive, r.order) for r in enumerate_classified(n)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("n", [13, 14, 15, 16])
     def test_counts_at_degrees_13_to_16(self, n):
         rows = enumerate_classified(n)
@@ -140,6 +153,14 @@ class TestEnumeration:
             enumerate_classified(0)
         with pytest.raises(ValueError):
             enumerate_classified(17)
+
+
+@pytest.mark.parametrize("census", [count_irreducible, count_primitive, enumerate_classified])
+@pytest.mark.parametrize("n", [0, 17])
+def test_census_refuses_degrees_outside_1_to_16(census, n):
+    # count_primitive factors 2^n - 1 by trial division: 2^61 - 1 is prime
+    with pytest.raises(ValueError, match="degree must be in 1..16"):
+        census(n)
 
 
 class TestClassificationInvariants:
