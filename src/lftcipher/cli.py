@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", metavar="WxH[xC]")
     p.add_argument("--glcm-offset", default="0,1", metavar="dr,dc")
     p.add_argument("--sample-pairs", type=int, default=None,
-                   help="sampled correlation instead of the full pair population")
+                   help="sampled correlation instead of the full pair population"
+                   " (1 to 2^26 pairs)")
     p.add_argument("--seed", type=int, default=None, help="seed for sampled modes")
     p.set_defaults(func=cmd_metrics)
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cipher import CipherKey, ImageBuffer, decrypt, encrypt
+from .lorenz import MAX_KEYSTREAM_LENGTH
 from .sbox_analysis import differential_probability, linear_probability
 
 PGL_ORDER = 16776960  # invertible fractional transforms over GF(2^8), up to scale
@@ -76,13 +77,17 @@ def adjacency_correlation(
 
     Returns None (not 0) when either side of the pair population has zero
     variance, e.g. for a constant image.  With sample_pairs set, that many
-    pairs are drawn with a seeded generator instead of the full population.
+    pairs (at most MAX_KEYSTREAM_LENGTH) are drawn with a seeded generator
+    instead of the full population.
     Raises TooFewPairsError when the image has no pair in that direction.
     """
     if direction not in ("horizontal", "vertical"):
         raise ValueError(f"direction must be horizontal or vertical, got {direction!r}")
-    if sample_pairs is not None and sample_pairs < 1:
-        raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
+    if sample_pairs is not None and not 1 <= sample_pairs <= MAX_KEYSTREAM_LENGTH:
+        raise ValueError(
+            f"sample_pairs must be at least 1 and at most {MAX_KEYSTREAM_LENGTH},"
+            f" got {sample_pairs}"
+        )
     arr = img.to_array()  # (height, width) or (height, width, channels)
     if direction == "horizontal":
         if arr.shape[1] < 2:
@@ -245,6 +250,8 @@ def cryptanalysis_report(sboxes) -> str:
         _, bias = linear_probability(s)
         lp_biases.append(bias)
         dps.append(differential_probability(s))
+    if not dps:
+        raise ValueError("cryptanalysis_report needs at least one S-box, got none")
     lp_exp = -math.log2(sum(lp_biases) / len(lp_biases))
     dp_exp = -math.log2(sum(dps) / len(dps))
     lines = [

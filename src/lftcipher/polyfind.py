@@ -52,7 +52,6 @@ def _prime_factors(n: int) -> list[int]:
     return ps
 
 
-
 def _mobius(n: int) -> int:
     if n == 1:
         return 1
@@ -94,8 +93,9 @@ def _irreducible(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # array arithmetic modulo a batch of polynomials of one degree n <= 16
 # ---------------------------------------------------------------------------
-# One column per modulus f.  Residues have degree < n, so products have
-# degree <= 2n - 2 <= 30 and uint32 holds every value.
+# One column per modulus f.  Residues have degree < n, so squares have
+# degree <= 2n - 2 <= 30 and uint32 holds every value.  x^e needs only two
+# steps: squaring, and multiplying by x.
 
 @functools.cache
 def _spread() -> np.ndarray:
@@ -107,82 +107,50 @@ def _spread() -> np.ndarray:
     return out
 
 
-def _moduli(fs, n: int) -> np.ndarray:
-    """Rows f << k, k < max(n - 1, 1), of the degree-n moduli fs: every
-    multiple of f that reducing a product subtracts."""
-    shifts = np.arange(max(n - 1, 1), dtype=np.uint32)[:, None]
-    return np.asarray(fs, dtype=np.uint32) << shifts
-
-
-def _reduce(r: np.ndarray, mods: np.ndarray, n: int, top: int) -> np.ndarray:
-    """r mod f in place, for r of degree at most top: clear bits top..n."""
-    t = np.empty_like(r)
-    for d in range(top, n - 1, -1):
-        np.right_shift(r, d, out=t)
-        t &= 1
-        t *= mods[d - n]
-        r ^= t
-    return r
-
-
-def _sqrmod(a: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
+def _sqrmod(a: np.ndarray, fs: np.ndarray, n: int) -> np.ndarray:
+    """a^2 mod f: spread the bits, then clear bits 2n - 2 down to n."""
     spread = _spread()
     r = spread[a & 0xFF]
     if n > 8:
         r |= spread[a >> 8] << 16
-    return _reduce(r, mods, n, 2 * n - 2)
+    for d in range(2 * n - 2, n - 1, -1):
+        r ^= (r >> d & 1) * (fs << (d - n))
+    return r
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
-    r = np.zeros_like(a)
-    t = np.empty_like(a)
-    for k in range(n):
-        np.right_shift(b, k, out=t)
-        t &= 1
-        t *= a << k
-        r ^= t
-    return _reduce(r, mods, n, 2 * n - 2)
+def _times_x(r: np.ndarray, fs: np.ndarray, n: int, bit: np.ndarray) -> np.ndarray:
+    """r * x mod f in place on the columns where bit is 1, for r of degree
+    < n: one shift and one conditional subtraction of f."""
+    r <<= bit
+    r ^= (r >> n & 1) * fs
+    return r
 
 
-def _x_chain(mods: np.ndarray, n: int) -> np.ndarray:
-    """Row k holds x^(2^k) mod f, for k < n: n - 1 squarings from x."""
-    chain = np.empty((n, mods.shape[1]), dtype=np.uint32)
-    chain[0] = _reduce(np.full(mods.shape[1], 2, dtype=np.uint32), mods, n, 1)
-    for k in range(n - 1):
-        chain[k + 1] = _sqrmod(chain[k], mods, n)
-    return chain
+def _x_power(e: np.ndarray, fs: np.ndarray, n: int) -> np.ndarray:
+    """x^e mod f, by left-to-right square-and-multiply from the top bit of e."""
+    r = np.ones_like(fs)
+    for k in reversed(range(int(e.max()).bit_length())):
+        r = _times_x(_sqrmod(r, fs, n), fs, n, e >> k & 1)
+    return r
 
 
-def _x_power(e: np.ndarray, chain: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
-    """x^e mod f for exponents 0 < e < 2^n: the product of chain[k] over
-    the set bits k of e."""
-    power = None
-    for k in range(n):
-        bit = e >> k & 1
-        if not bit.any():
-            continue
-        factor = chain[k] if bit.all() else np.where(bit, chain[k], 1)
-        power = factor if power is None else _mulmod(power, factor, mods, n)
-    return power
-
-
-def _orders(chain: np.ndarray, mods: np.ndarray, n: int) -> np.ndarray:
-    """Multiplicative order of x modulo each f; 0 where x reduces to 0.
+def _orders(fs: np.ndarray, n: int) -> np.ndarray:
+    """Multiplicative order of x modulo each f; 0 for f = x.
 
     The order divides 2^n - 1, so start from o = 2^n - 1 and, for each prime
     p of it, divide o by p while x^(o/p) = 1 (Lidl & Niederreiter, Finite
     Fields, ch. 3).
     """
-    order = np.full(mods.shape[1], (1 << n) - 1, dtype=np.uint32)
+    order = np.full(fs.size, (1 << n) - 1, dtype=np.uint32)
     for p in _prime_factors((1 << n) - 1):
         cols = np.arange(order.size)
         while cols.size:
             e = order[cols] // p
-            one = _x_power(e, chain[:, cols], mods[:, cols], n) == 1
+            one = _x_power(e, fs[cols], n) == 1
             cols = cols[one]
             order[cols] = e[one]
             cols = cols[order[cols] % p == 0]
-    order[chain[0] == 0] = 0
+    order[fs == 0b10] = 0
     return order
 
 
@@ -215,7 +183,7 @@ def enumerate_classified(n: int) -> list[PolyClassification]:
     divisible by x; for n = 1 the polynomial x itself is included (it is
     the one irreducible polynomial with constant term 0).  All candidates
     are classified in one batch: one sieve of products decides
-    irreducibility, and one chain of squarings of x modulo each irreducible
+    irreducibility, and square-and-multiply-by-x modulo each irreducible
     candidate gives the order of x.
     """
     _check_degree(n)
@@ -224,9 +192,8 @@ def enumerate_classified(n: int) -> list[PolyClassification]:
     else:
         fs = np.arange((1 << n) + 1, 1 << (n + 1), 2, dtype=np.uint32)
     irreducible = _irreducible(n)[fs - (1 << n)]
-    mods = _moduli(fs[irreducible], n)
     order = np.zeros_like(fs)
-    order[irreducible] = _orders(_x_chain(mods, n), mods, n)
+    order[irreducible] = _orders(fs[irreducible], n)
     full = (1 << n) - 1
     return [
         PolyClassification(BinaryPoly(f), irr, o == full, o or None)

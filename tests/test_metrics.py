@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_natural_image
 from lftcipher import ImageBuffer
+from lftcipher.lorenz import MAX_KEYSTREAM_LENGTH
 from lftcipher.metrics import (
     _COUNT_CHUNK,
     AvalancheReport,
@@ -163,6 +164,12 @@ class TestAdjacencyCorrelation:
         with pytest.raises(ValueError, match="sample_pairs must be at least 1") as exc:
             adjacency_correlation(natural_image, "horizontal", sample_pairs=pairs, seed=1)
         assert not isinstance(exc.value, TooFewPairsError)
+
+    @pytest.mark.parametrize("pairs", [MAX_KEYSTREAM_LENGTH + 1, 10**13])
+    def test_sample_pairs_above_the_keystream_bound_rejected(self, natural_image, pairs):
+        # refused before the generator draws: 10**13 indices would be 72.8 TiB
+        with pytest.raises(ValueError, match="sample_pairs must be .* at most 67108864"):
+            adjacency_correlation(natural_image, "horizontal", sample_pairs=pairs, seed=1)
 
     def test_sampled_mode_is_seeded(self, natural_image):
         a = adjacency_correlation(natural_image, "horizontal", sample_pairs=1000, seed=5)
@@ -329,6 +336,10 @@ class TestReports:
         assert "2^" in text
         assert "10^60" in text
         assert "24.0 bits per field" in text
+
+    def test_cryptanalysis_report_refuses_no_boxes(self):
+        with pytest.raises(ValueError, match="at least one S-box"):
+            cryptanalysis_report([])
 
     def test_cryptanalysis_report(self, family):
         text = cryptanalysis_report(family)
