@@ -1,6 +1,7 @@
-/* Step loop of lorenz.integrate: the same IEEE double operations, in the
- * same order, as the Python rk4_step loop.  Build without FMA contraction
- * or fast-math, or the trajectory stops being bit-identical to it.
+/* Step loop of lorenz.integrate.  Its pure-Python fallback is this same
+ * loop, step for step: the same IEEE double operations, in the same order,
+ * through rk4_step.  Build without FMA contraction or fast-math, or the
+ * trajectory stops being bit-identical to it.
  *
  * Fills out[3t-3..3t-1] with (x, y, z) of post-burn-in sample t = 1..count
  * and returns 0, or the 1-based step (burn-in steps included) whose state

@@ -16,8 +16,8 @@ permutation, XOR mask and S-box selector streams are digested.
 All real arithmetic is 64-bit binary floating point; identical parameters
 give bit-identical keystreams on one platform.  The step loop runs in a
 small C kernel (``_rk4.c``) compiled on first use, and in pure Python when
-no compiler is available; both do the same IEEE operations in the same
-order, so they return the same bits.
+no compiler is available; the fallback is the same loop as ``lft_rk4``,
+with the same IEEE operations in the same order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -124,19 +124,6 @@ def rk4_step(
     )
 
 
-def _compile_kernel(source: bytes, out: str) -> None:
-    import subprocess  # only a cache miss compiles; keep it out of import time
-
-    subprocess.run(
-        ["cc", *_KERNEL_FLAGS, "-o", out, "-x", "c", "-"],
-        input=source,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        check=True,
-        timeout=120,
-    )
-
-
 def _private_dir(path: Path) -> bool:
     """Create `path` with mode 0700 if needed; True if only we can write it."""
     try:
@@ -153,14 +140,14 @@ def _load_kernel():
 
     The shared object is cached per user under
     ``${XDG_CACHE_HOME:-~/.cache}/lftcipher``, named by
-    ``importlib.util.source_hash`` of the source, the flags and the machine,
-    and published with an atomic rename so concurrent processes never load
-    a partial file.  The name only has to tell kernel builds apart: the
-    directory is refused when others can write to it, so a cryptographic
-    hash would add nothing, and ``hashlib`` would load OpenSSL's libcrypto
-    (about 3.5 MB resident) into every process that integrates.  When that
-    directory cannot be used it is built in a private temporary directory
-    that is removed once loaded.
+    ``importlib.util.source_hash`` of the source, the flags and the machine.
+    The name only has to tell kernel builds apart: the directory is refused
+    when others can write to it, so a cryptographic hash would add nothing,
+    and ``hashlib`` would load OpenSSL's libcrypto (about 3.5 MB resident)
+    into every process that integrates.  A miss builds it in a fresh
+    temporary directory: inside the cache when that is an absolute path only
+    we can write to, and an atomic rename publishes it, so concurrent
+    processes never load a partial file; else in the system temp dir.
     """
     try:
         source = _KERNEL_SOURCE.read_bytes()
@@ -170,24 +157,28 @@ def _load_kernel():
         base = os.environ.get("XDG_CACHE_HOME", "")
         if not os.path.isabs(base):  # unset, empty or relative: the XDG default
             base = os.path.expanduser("~/.cache")
-        cache = Path(base) / "lftcipher"
-        if _private_dir(cache):
-            so_path = cache / f"rk4-{digest}.so"
-            if not so_path.exists():
-                fd, tmp = tempfile.mkstemp(dir=cache, prefix="rk4-", suffix=".tmp")
-                os.close(fd)
-                try:
-                    _compile_kernel(source, tmp)
-                    os.replace(tmp, so_path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
+        cache = Path(base, "lftcipher")
+        # with no home directory "~" stays unexpanded: never build under the cwd
+        private = cache.is_absolute() and _private_dir(cache)
+        so_path = cache / f"rk4-{digest}.so"
+        if private and so_path.exists():
             lib = ctypes.CDLL(str(so_path))
         else:
-            with tempfile.TemporaryDirectory() as tmp:
-                so_path = os.path.join(tmp, "rk4.so")
-                _compile_kernel(source, so_path)
-                lib = ctypes.CDLL(so_path)
+            import subprocess  # only a cache miss compiles; keep it off the hit path
+
+            with tempfile.TemporaryDirectory(dir=cache if private else None) as tmp:
+                build = os.path.join(tmp, "rk4.so")
+                subprocess.run(
+                    ["cc", *_KERNEL_FLAGS, "-o", build, "-x", "c", "-"],
+                    input=source,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL,
+                    check=True,
+                    timeout=120,
+                )
+                lib = ctypes.CDLL(build)
+                if private:
+                    os.replace(build, so_path)
         kernel = lib.lft_rk4
     except Exception:
         # the Python loop gives the same bits, so a kernel that cannot be
@@ -233,15 +224,14 @@ def integrate(params: LorenzParams, count: int) -> np.ndarray:
         if bad:
             raise _nonfinite(bad, params.burn_in)
         return out
-    xs, ys, zs = out.T
-    for i in range(params.burn_in):
+    burn_in = params.burn_in
+    for i in range(1, burn_in + count + 1):
         x, y, z = rk4_step(x, y, z, a, b, c, h)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise _nonfinite(i + 1, params.burn_in)
-    for t in range(1, count + 1):
-        x, y, z = rk4_step(x, y, z, a, b, c, h)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise _nonfinite(params.burn_in + t, params.burn_in)
+            raise _nonfinite(i, burn_in)
+        t = i - burn_in
+        if t < 1:
+            continue
         if t % DISTURBANCE_INTERVAL == 1:
             if z <= 0:
                 x += 0.1
@@ -249,9 +239,7 @@ def integrate(params: LorenzParams, count: int) -> np.ndarray:
             else:
                 x += 0.2
                 y -= 0.1
-        xs[t - 1] = x
-        ys[t - 1] = y
-        zs[t - 1] = z
+        out[t - 1] = x, y, z
     return out
 
 

@@ -28,7 +28,6 @@ _COUNT_CHUNK = 1 << 16  # elements per bincount call: a 512 KB intp buffer at mo
 class AvalancheReport:
     npcr: float  # percent of differing byte positions
     uaci: float  # mean absolute difference as percent of 255
-    location: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +199,10 @@ def _byte_diff(c1: ImageBuffer, c2: ImageBuffer) -> tuple[int, int, int]:
     return a.size, int(np.count_nonzero(diff)), int(diff.sum(dtype=np.int64))
 
 
-def npcr_uaci(c1: ImageBuffer, c2: ImageBuffer, location: str | None = None) -> AvalancheReport:
+def npcr_uaci(c1: ImageBuffer, c2: ImageBuffer) -> AvalancheReport:
     """Byte change rate and mean intensity change between two images."""
     n, changed, total = _byte_diff(c1, c2)
-    return AvalancheReport(changed / n * 100, total / 255 / n * 100, location)
+    return AvalancheReport(changed / n * 100, total / 255 / n * 100)
 
 
 def noise_experiment(img: ImageBuffer, key: CipherKey, corrupted: int) -> NoiseReport:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lftcipher
-from conftest import make_natural_image
+from conftest import make_natural_image, require_kernel
 from lftcipher import ImageBuffer, build_family, lorenz
 from lftcipher.cipher import permute, substitute, xor_mask
 from lftcipher.cli import build_parser, main
@@ -253,7 +253,14 @@ class TestEncryptDecrypt:
             out[:, ch] = substitute(staged, selectors, sboxes)
         assert out.tobytes() == read_image(ct).data
 
-    def test_encrypt_process_skips_analysis_modules(self, tmp_path, keyfile, small_image):
+    def test_encrypt_process_skips_analysis_modules(self, tmp_path, keyfile, small_image,
+                                                    monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        lorenz._load_kernel.cache_clear()
+        try:
+            require_kernel()  # fills the cache, so the child only loads from it
+        finally:
+            lorenz._load_kernel.cache_clear()
         code = (
             "import sys; from lftcipher.cli import main; "
             "assert main(sys.argv[1:]) == 0; print(' '.join(sys.modules))"
@@ -267,8 +274,9 @@ class TestEncryptDecrypt:
         loaded = set(proc.stdout.split())
         assert "lftcipher.cipher" in loaded
         assert not loaded & {"lftcipher.metrics", "lftcipher.polyfind", "lftcipher.sbox_analysis"}
-        # naming the cached RK4 kernel must not load OpenSSL's libcrypto
-        assert not loaded & {"hashlib", "_hashlib"}
+        # naming the cached RK4 kernel must not load OpenSSL's libcrypto,
+        # and a cache hit compiles nothing
+        assert not loaded & {"hashlib", "_hashlib", "subprocess"}
 
     @staticmethod
     def _counted_run(monkeypatch, argv):

