@@ -16,7 +16,7 @@ import numpy as np
 
 from . import golden, lorenz
 from .lorenz import Keystream, LorenzParams
-from .sbox import LftSBox, build_family, family_polys
+from .sbox import LftSBox, build_family
 
 _GATHER_BLOCK = 1 << 16  # index entries per take: a 512 KB intp buffer
 
@@ -83,8 +83,8 @@ class CipherKey:
         lft: tuple[int, int, int, int] = golden.DEFAULT_LFT,
         polys: tuple[int, ...] = golden.PRIMITIVE_POLY_MASKS,
     ) -> CipherKey:
-        polys = family_polys(polys)
-        return cls(params, tuple(lft), polys, build_family(*lft, polys=polys))
+        sboxes = build_family(*lft, polys=polys)  # checks polys, once
+        return cls(params, tuple(lft), tuple(box.provenance.reduction for box in sboxes), sboxes)
 
     def keystream(self, length: int) -> Keystream:
         return lorenz.keystream(self.lorenz, length)

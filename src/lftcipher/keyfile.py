@@ -1,4 +1,5 @@
-"""Key files: plain text, one name=value per line.
+"""Key files: UTF-8 text, one name=value per line; a leading byte-order
+mark is allowed.
 
 Required: x0, y0, z0 (the secret initial conditions).  Optional with
 defaults: a=10, b=28, c=8/3, step=0.01, burn_in=100, lft_a..lft_d
@@ -122,8 +123,9 @@ def parse_key_file(path: str | os.PathLike) -> CipherKey:
     if len(blob) > _MAX_KEY_FILE:
         raise KeyFileError(f"{path}: larger than {_MAX_KEY_FILE} bytes")
     try:
-        text = blob.decode("utf-8")
+        text = blob.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as e:
-        raise KeyFileError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        at = e.start + len(blob) - len(e.object)  # e.object starts after the mark
+        raise KeyFileError(f"{path}: not UTF-8 text ({e.reason} at byte {at})") from None
     return parse_key_text(text, source=str(path))
 

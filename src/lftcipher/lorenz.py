@@ -250,13 +250,15 @@ def _rank_permutation(k: np.ndarray, keys: np.ndarray) -> np.ndarray:
     +0.0) as uint64; it is sorted in place and returned, viewed as int64, as
     the permutation.  For non-negative doubles the bit patterns order as the
     values do, and below 1.0 the top two bits are clear.  So with b index
-    bits, the key (bits >> (b - 2)) << b | i keeps the 64 - b high bits of
-    k_i above the index i and fits in 64 bits; sorting the keys sorts k with
-    ties broken by lower index, except inside runs of equal high parts,
-    which are re-ordered by (k, index).  Sorted neighbours share a high part
-    exactly when their XOR is below 2^b.  The indices are ORed in and the
-    ties found _BLOCK keys at a time through one scratch block, so no
-    full-size temporary is made.
+    bits, the key (bits >> b) << b | i keeps the 64 - b high bits of k_i
+    above the index i; sorting the keys sorts k with ties broken by lower
+    index, except inside runs of equal high parts, which are re-ordered by
+    (k, index).  Sorted neighbours share a high part exactly when their XOR
+    is below 2^b.  The keys' top two bits stay clear, so read as doubles
+    they are finite and non-negative and order as the integers do; they are
+    sorted as float64, which numpy sorts faster than uint64.  The indices
+    are ORed in and the ties found _BLOCK keys at a time through one
+    scratch block, so no full-size temporary is made.
     """
     n = k.size
     perm = keys.view(np.int64)
@@ -265,14 +267,14 @@ def _rank_permutation(k: np.ndarray, keys: np.ndarray) -> np.ndarray:
         return perm
     b = (n - 1).bit_length()
     low = np.uint64((1 << b) - 1)
-    keys >>= max(b - 2, 0)
+    keys >>= b
     keys <<= b
     scratch = np.arange(min(n, _BLOCK), dtype=np.uint64)  # the first block's indices
     for start in range(0, n, _BLOCK):
         block = keys[start : start + _BLOCK]
         block |= scratch[: block.size]
         scratch += _BLOCK
-    keys.sort()
+    keys.view(np.float64).sort()
     ties = []
     for start in range(0, n - 1, _BLOCK):
         block = keys[start : start + _BLOCK + 1]

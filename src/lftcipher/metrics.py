@@ -19,8 +19,6 @@ from .cipher import CipherKey, ImageBuffer, decrypt, encrypt
 from .lorenz import MAX_KEYSTREAM_LENGTH
 from .sbox_analysis import differential_probability, linear_probability
 
-PGL_ORDER = 16776960  # invertible fractional transforms over GF(2^8), up to scale
-
 _COUNT_CHUNK = 1 << 16  # elements per bincount call: a 512 KB intp buffer at most
 
 
@@ -220,24 +218,6 @@ def noise_experiment(img: ImageBuffer, key: CipherKey, corrupted: int) -> NoiseR
         mean_abs_error=total / n,
         recovered=recovered,
     )
-
-
-def keyspace_report(key: CipherKey) -> str:
-    """Human-readable account of the effective key space."""
-    ic_bits = 3 * 53  # three float64 initial conditions, 53 significand bits each
-    sbox_bits = math.log2(PGL_ORDER * len(key.polys))
-    total = ic_bits + sbox_bits
-    lines = [
-        "key space report",
-        "----------------",
-        "initial conditions: 3 IEEE-754 doubles -> about 2^159 keys (3 x 53 significand bits)",
-        f"transform choice: {PGL_ORDER} transforms x {len(key.polys)} polynomials"
-        f" -> log2({PGL_ORDER}) = {math.log2(PGL_ORDER):.1f} bits per field,"
-        f" 2^{sbox_bits:.1f} total",
-        f"implementation total: about 2^{total:.0f}",
-        "claimed figure: 10^60 (original design claim), about 2^199",
-    ]
-    return "\n".join(lines)
 
 
 def cryptanalysis_report(sboxes) -> str:

@@ -265,26 +265,3 @@ def parse_table_text(text: str) -> list[int]:
         if not 0 <= v <= 255:
             raise SBoxFormatError(f"entry {v} out of byte range")
     return vals
-
-
-@dataclass(frozen=True)
-class ReferenceAudit:
-    """Comparison of the published reference table with the canonical build."""
-
-    audit: TableAudit
-    canonical_matches: int
-    mismatched_positions: tuple[int, ...] = dc_field(repr=False, default=())
-
-
-def reference_audit() -> ReferenceAudit:
-    """Audit the embedded reference table against canonical field arithmetic.
-
-    The reference table is not a bijection as printed, and the canonical
-    construction under the first polynomial agrees with it on only a
-    handful of entries; the table therefore stays reference data only.
-    """
-    ref = golden.REFERENCE_SBOX
-    audit = validate_table(ref)
-    canonical = build_sbox(LftParams(*golden.DEFAULT_LFT, poly_index=1))
-    mism = tuple(z for z in range(256) if canonical.table[z] != ref[z])
-    return ReferenceAudit(audit, 256 - len(mism), mism)

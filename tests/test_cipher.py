@@ -1,10 +1,11 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import flatten, make_natural_image, unflatten
-from lftcipher import CipherKey, ImageBuffer, LorenzParams, cipher, decrypt, encrypt
+from lftcipher import CipherKey, ImageBuffer, LorenzParams, cipher, decrypt, encrypt, sbox
 from lftcipher.cipher import (
     inverse_permute,
     inverse_substitute,
@@ -295,3 +296,25 @@ class TestCipherKey:
         key = CipherKey.create(LorenzParams(1, 2, 3), polys=np.array(PRIMITIVE_POLY_MASKS))
         assert key.polys == PRIMITIVE_POLY_MASKS
         assert all(type(m) is int for m in key.polys)
+
+    def test_polys_from_a_generator(self):
+        shuffled = PRIMITIVE_POLY_MASKS[::-1]
+        key = CipherKey.create(LorenzParams(1, 2, 3), polys=(m for m in shuffled))
+        assert key.polys == shuffled
+        assert [box.provenance.reduction for box in key.sboxes] == list(shuffled)
+
+    def test_create_checks_polys_once(self, monkeypatch):
+        calls = []
+        original = sbox.family_polys
+
+        def counted(polys):
+            calls.append(polys)
+            return original(polys)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("lftcipher"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+        CipherKey.create(LorenzParams(1, 2, 3))
+        assert len(calls) == 1

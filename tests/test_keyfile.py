@@ -138,6 +138,19 @@ class TestFileIo:
         with pytest.raises(KeyFileError, match="latin1.txt: not UTF-8 text"):
             parse_key_file(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(MINIMAL, encoding="utf-8")
+        bom.write_text(MINIMAL, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_key_file(bom) == parse_key_file(plain)
+
+    def test_bad_byte_after_a_mark_is_placed_in_the_file(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfx0=1\xe9\n")
+        with pytest.raises(KeyFileError, match="at byte 7"):
+            parse_key_file(path)
+
     def test_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "key.txt"
         path.write_text("x0=1\nbogus=2\n")

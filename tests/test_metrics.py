@@ -19,7 +19,6 @@ from lftcipher.metrics import (
     entropy,
     glcm,
     glcm_features,
-    keyspace_report,
     noise_experiment,
     npcr_uaci,
 )
@@ -330,12 +329,6 @@ class TestChiSquare:
 
 
 class TestReports:
-    def test_keyspace_report_strings(self, test_key):
-        text = keyspace_report(test_key)
-        assert "2^" in text
-        assert "10^60" in text
-        assert "24.0 bits per field" in text
-
     def test_cryptanalysis_report_refuses_no_boxes(self):
         with pytest.raises(ValueError, match="at least one S-box"):
             cryptanalysis_report([])
