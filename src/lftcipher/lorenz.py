@@ -29,9 +29,7 @@ import math
 import numbers
 import os
 import platform
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +45,7 @@ _BLOCK = 1 << 14
 # -2^-54 < x < 0, and clamping it here keeps k in [0, 1) and in rank order
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
-_KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_rk4.c")
 # no FMA contraction and no fast-math: either would change the rounding
 # of the RK4 sums and break bit identity with the Python loop
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
@@ -124,11 +122,11 @@ def rk4_step(
     )
 
 
-def _private_dir(path: Path) -> bool:
+def _private_dir(path: str) -> bool:
     """Create `path` with mode 0700 if needed; True if only we can write it."""
     try:
-        path.mkdir(mode=0o700, parents=True, exist_ok=True)
-        st = path.stat()
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
     except OSError:
         return False
     return st.st_uid == os.getuid() and not st.st_mode & 0o022
@@ -147,38 +145,56 @@ def _load_kernel():
     into every process that integrates.  A miss builds it in a fresh
     temporary directory: inside the cache when that is an absolute path only
     we can write to, and an atomic rename publishes it, so concurrent
-    processes never load a partial file; else in the system temp dir.
+    processes never load a partial file; else in the system temp dir.  A
+    miss in the cache waits for an exclusive flock on the cache directory
+    and looks again, so processes started together compile once.
     """
     try:
-        source = _KERNEL_SOURCE.read_bytes()
+        with open(_KERNEL_SOURCE, "rb") as f:
+            source = f.read()
         digest = importlib.util.source_hash(
             b"\0".join((source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()))
         ).hex()
         base = os.environ.get("XDG_CACHE_HOME", "")
         if not os.path.isabs(base):  # unset, empty or relative: the XDG default
             base = os.path.expanduser("~/.cache")
-        cache = Path(base, "lftcipher")
+        cache = os.path.join(base, "lftcipher")
         # with no home directory "~" stays unexpanded: never build under the cwd
-        private = cache.is_absolute() and _private_dir(cache)
-        so_path = cache / f"rk4-{digest}.so"
-        if private and so_path.exists():
-            lib = ctypes.CDLL(str(so_path))
-        else:
-            import subprocess  # only a cache miss compiles; keep it off the hit path
+        private = os.path.isabs(cache) and _private_dir(cache)
+        so_path = os.path.join(cache, f"rk4-{digest}.so")
+        lock = -1
+        if private and not os.path.exists(so_path):
+            import fcntl
 
-            with tempfile.TemporaryDirectory(dir=cache if private else None) as tmp:
-                build = os.path.join(tmp, "rk4.so")
-                subprocess.run(
-                    ["cc", *_KERNEL_FLAGS, "-o", build, "-x", "c", "-"],
-                    input=source,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
-                    check=True,
-                    timeout=120,
-                )
-                lib = ctypes.CDLL(build)
-                if private:
-                    os.replace(build, so_path)
+            try:
+                lock = os.open(cache, os.O_RDONLY)
+                fcntl.flock(lock, fcntl.LOCK_EX)  # one build at a time: the rest find its .so
+            except OSError:
+                pass  # no lock (NFS, say): each builds its own, the rename stays atomic
+        try:
+            if private and os.path.exists(so_path):
+                lib = ctypes.CDLL(so_path)
+            else:
+                # only a cache miss compiles; keep these modules off the hit path
+                import subprocess
+                import tempfile
+
+                with tempfile.TemporaryDirectory(dir=cache if private else None) as tmp:
+                    build = os.path.join(tmp, "rk4.so")
+                    subprocess.run(
+                        ["cc", *_KERNEL_FLAGS, "-o", build, "-x", "c", "-"],
+                        input=source,
+                        stdout=subprocess.DEVNULL,
+                        stderr=subprocess.DEVNULL,
+                        check=True,
+                        timeout=120,
+                    )
+                    lib = ctypes.CDLL(build)
+                    if private:
+                        os.replace(build, so_path)
+        finally:
+            if lock >= 0:
+                os.close(lock)  # releases the flock
         kernel = lib.lft_rk4
     except Exception:
         # the Python loop gives the same bits, so a kernel that cannot be
@@ -225,6 +241,7 @@ def integrate(params: LorenzParams, count: int) -> np.ndarray:
             raise _nonfinite(bad, params.burn_in)
         return out
     burn_in = params.burn_in
+    flat = out.reshape(-1)  # a view, written as the kernel writes it
     for i in range(1, burn_in + count + 1):
         x, y, z = rk4_step(x, y, z, a, b, c, h)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
@@ -239,7 +256,9 @@ def integrate(params: LorenzParams, count: int) -> np.ndarray:
             else:
                 x += 0.2
                 y -= 0.1
-        out[t - 1] = x, y, z
+        flat[3 * t - 3] = x
+        flat[3 * t - 2] = y
+        flat[3 * t - 1] = z
     return out
 
 
@@ -262,9 +281,6 @@ def _rank_permutation(k: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """
     n = k.size
     perm = keys.view(np.int64)
-    if n < 2:
-        keys.fill(0)
-        return perm
     b = (n - 1).bit_length()
     low = np.uint64((1 << b) - 1)
     keys >>= b

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,14 +21,12 @@ from .sbox_analysis import differential_probability, linear_probability
 _COUNT_CHUNK = 1 << 16  # elements per bincount call: a 512 KB intp buffer at most
 
 
-@dataclass(frozen=True)
-class AvalancheReport:
+class AvalancheReport(NamedTuple):
     npcr: float  # percent of differing byte positions
     uaci: float  # mean absolute difference as percent of 255
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseReport:
+class NoiseReport(NamedTuple):
     corrupted: int
     match_fraction: float
     mean_abs_error: float

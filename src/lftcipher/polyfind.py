@@ -11,15 +11,14 @@ modulo it; :class:`lftcipher.gf2n.FieldSpec` accepts no other modulus.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .gf2n import MAX_DEGREE, BinaryPoly
 
 
-@dataclass(frozen=True)
-class PolyClassification:
+class PolyClassification(NamedTuple):
     """Classification of one monic polynomial.
 
     order is the multiplicative order of x modulo the polynomial, present
@@ -31,10 +30,6 @@ class PolyClassification:
     irreducible: bool
     primitive: bool
     order: int | None
-
-    def __post_init__(self) -> None:
-        if self.primitive and not self.irreducible:
-            raise ValueError("primitive implies irreducible")
 
 
 def _prime_factors(n: int) -> list[int]:

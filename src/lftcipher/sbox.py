@@ -15,6 +15,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ class DegenerateLftError(ValueError):
     """ad + bc = 0: the transform is constant, not invertible."""
 
 
-@dataclass(frozen=True)
-class TableAudit:
+class TableAudit(NamedTuple):
     """Result of scanning a 256-entry table for bijectivity."""
 
     bijective: bool

@@ -11,7 +11,7 @@ all read that one measurement.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def differential_probability(s) -> float:
     return _measured(s).dp
 
 
-@dataclass(frozen=True)
-class StrengthReport:
+class StrengthReport(NamedTuple):
     """The six criteria for one S-box."""
 
     nl_per_coordinate: tuple[int, ...]

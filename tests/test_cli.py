@@ -253,8 +253,9 @@ class TestEncryptDecrypt:
             out[:, ch] = substitute(staged, selectors, sboxes)
         assert out.tobytes() == read_image(ct).data
 
-    def test_encrypt_process_skips_analysis_modules(self, tmp_path, keyfile, small_image,
-                                                    monkeypatch):
+    @staticmethod
+    def _encrypt_child_modules(tmp_path, keyfile, small_image, monkeypatch, *flags):
+        """The modules a fresh `encrypt` process loaded, on a filled kernel cache."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         lorenz._load_kernel.cache_clear()
         try:
@@ -265,18 +266,32 @@ class TestEncryptDecrypt:
             "import sys; from lftcipher.cli import main; "
             "assert main(sys.argv[1:]) == 0; print(' '.join(sys.modules))"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(lftcipher.__file__).parents[1])}
+        # numpy's directory too, since -S leaves site-packages off sys.path
+        paths = (Path(lftcipher.__file__).parents[1], Path(np.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
         proc = subprocess.run(
-            [sys.executable, "-c", code, "encrypt", "--key", keyfile, "--in", small_image,
-             "--out", str(tmp_path / "ct.pgm")],
+            [sys.executable, *flags, "-c", code, "encrypt", "--key", keyfile,
+             "--in", small_image, "--out", str(tmp_path / "ct.pgm")],
             env=env, capture_output=True, text=True, check=True,
         )
         loaded = set(proc.stdout.split())
         assert "lftcipher.cipher" in loaded
+        return loaded
+
+    def test_encrypt_process_skips_analysis_modules(self, tmp_path, keyfile, small_image,
+                                                    monkeypatch):
+        loaded = self._encrypt_child_modules(tmp_path, keyfile, small_image, monkeypatch)
         assert not loaded & {"lftcipher.metrics", "lftcipher.polyfind", "lftcipher.sbox_analysis"}
         # naming the cached RK4 kernel must not load OpenSSL's libcrypto,
         # and a cache hit compiles nothing
         assert not loaded & {"hashlib", "_hashlib", "subprocess"}
+
+    def test_cached_encrypt_skips_kernel_build_modules(self, tmp_path, keyfile, small_image,
+                                                      monkeypatch):
+        # -S, because site's .pth files may load these modules themselves;
+        # tempfile loads random, and only a kernel build needs either
+        loaded = self._encrypt_child_modules(tmp_path, keyfile, small_image, monkeypatch, "-S")
+        assert not loaded & {"pathlib", "tempfile", "random"}
 
     @staticmethod
     def _counted_run(monkeypatch, argv):

@@ -1,3 +1,5 @@
+import errno
+import fcntl
 import importlib.resources
 import math
 import os
@@ -265,6 +267,25 @@ class TestKernelLoading:
         (so,) = cache.iterdir()
         assert so.name.startswith("rk4-") and so.suffix == ".so"
 
+    def test_cache_without_locks_still_builds(self, fresh_loader, monkeypatch, tmp_path, capfd):
+        # a file system with no flock (NFS, say) builds unlocked, never fails
+        p, want = self._reference(monkeypatch)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+        calls = []
+
+        def no_locks(fd, operation):
+            calls.append(operation)
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        require_kernel()
+        assert calls == [fcntl.LOCK_EX]
+        assert _bytes(integrate(p, 30003)) == want
+        assert capfd.readouterr() == ("", "")
+        (so,) = (tmp_path / "lftcipher").iterdir()
+        assert so.name.startswith("rk4-") and so.suffix == ".so"
+
     @pytest.mark.parametrize("shared", [False, True])
     def test_unusable_cache_builds_in_private_tempdir(
         self, shared, fresh_loader, monkeypatch, tmp_path, capfd
@@ -310,8 +331,15 @@ class TestKernelLoading:
         assert not list(tmp_path.iterdir())
 
     def test_concurrent_first_use(self, tmp_path):
-        if shutil.which("cc") is None:
+        real_cc = shutil.which("cc")
+        if real_cc is None:
             pytest.skip("no C compiler to build the RK4 kernel")
+        # a `cc` first on PATH that logs each run, so the builds can be counted
+        bin_dir, log = tmp_path / "bin", tmp_path / "cc.log"
+        bin_dir.mkdir()
+        (bin_dir / "cc").write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{real_cc}" "$@"\n')
+        (bin_dir / "cc").chmod(0o755)
+        cache_home = tmp_path / "cache"
         code = (
             "import hashlib; from lftcipher import lorenz; "
             "ks = lorenz.keystream(lorenz.LorenzParams(0.3, -0.4, 10.5), 4096); "
@@ -322,7 +350,8 @@ class TestKernelLoading:
         env = {
             **os.environ,
             "PYTHONPATH": str(Path(lorenz.__file__).parents[1]),
-            "XDG_CACHE_HOME": str(tmp_path),
+            "XDG_CACHE_HOME": str(cache_home),
+            "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
         }
         procs = [
             subprocess.Popen([sys.executable, "-c", code], env=env,
@@ -333,8 +362,10 @@ class TestKernelLoading:
         assert [proc.returncode for proc in procs] == [0] * 4, results
         digests = {out for out, _ in results}
         assert len(digests) == 1, results
-        (so,) = (tmp_path / "lftcipher").iterdir()
+        (so,) = (cache_home / "lftcipher").iterdir()
         assert so.name.startswith("rk4-") and so.suffix == ".so"
+        # the first process to take the cache's lock builds; the rest find its .so
+        assert log.read_text().splitlines() == ["run"]
 
     def test_source_ships_with_package(self):
         assert (importlib.resources.files("lftcipher") / "_rk4.c").is_file()

@@ -164,6 +164,6 @@ def test_census_refuses_degrees_outside_1_to_16(census, n):
 
 
 class TestClassificationInvariants:
-    def test_primitive_implies_irreducible_enforced(self):
-        with pytest.raises(ValueError):
-            PolyClassification(BinaryPoly(0b111), irreducible=False, primitive=True, order=None)
+    def test_primitive_implies_irreducible(self):
+        for n in range(1, 13):
+            assert all(not r.primitive or r.irreducible for r in enumerate_classified(n)), n

@@ -94,6 +94,34 @@ class TestBuildSboxOracle:
             build_family(1, 0, 0, 1, polys=(0x13,))  # x^4+x+1 is primitive
 
 
+def affine_decomposition(spec, a, b, c, d):
+    """The table of g(z) = (az+b)/(cz+d) rebuilt from field inversion:
+    alpha + beta * inv(cz + d) with alpha = a/c, beta = b + ad/c and
+    inv(0) = 0 for c != 0, else the affine (a/d)z + b/d."""
+    if c == 0:
+        return bytes(spec.mul(spec.div(a, d), z) ^ spec.div(b, d) for z in range(256))
+    alpha, beta = spec.div(a, c), b ^ spec.div(spec.mul(a, d), c)
+    dens = (spec.mul(c, z) ^ d for z in range(256))
+    return bytes(alpha ^ (spec.mul(beta, spec.inv(v)) if v else 0) for v in dens)
+
+
+class TestAffineDecomposition:
+    def test_every_box_is_an_affine_map_of_inversion(self):
+        rng = random.Random(10)
+        lfts = [DEFAULT_LFT, (5, 7, 0, 3)]
+        lfts += [tuple(rng.randrange(256) for _ in range(4)) for _ in range(40)]
+        checked = 0
+        for lft in lfts:
+            for i, mask in enumerate(PRIMITIVE_POLY_MASKS, start=1):
+                try:
+                    box = build_sbox(LftParams(*lft, poly_index=i))
+                except DegenerateLftError:
+                    continue
+                assert box.table == affine_decomposition(field(mask), *lft), (lft, hex(mask))
+                checked += 1
+        assert checked == 668  # the other 4 of the 672 boxes are degenerate
+
+
 class TestLftParams:
     def test_range_checks(self):
         with pytest.raises(ValueError):
