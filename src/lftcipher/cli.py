@@ -3,7 +3,7 @@
 Subcommands: enumerate-polys, gen-sbox, analyze-sbox, encrypt, decrypt,
 metrics, attack-sim, keystream.  Every expected failure exits nonzero and
 prints a single machine-parsable line `error:<code>: <text>` to stderr.
-The cipher itself takes no RNG; --seed only affects sampled metric modes.
+Nothing draws random numbers: every output is a function of the inputs.
 """
 
 from __future__ import annotations
@@ -157,13 +157,10 @@ def cmd_metrics(args) -> int:
     if len(offset) != 2:
         raise ValueError(f"--glcm-offset wants dr,dc, got {args.glcm_offset!r}")
     img = _read_input_image(args.infile, args.raw)
-    sampled = {}
-    if args.sample_pairs is not None:
-        sampled = {"sample_pairs": args.sample_pairs, "seed": args.seed}
     lines = []  # printed only once every metric has succeeded
     for direction in ("horizontal", "vertical"):
         try:
-            r = metrics.adjacency_correlation(img, direction, **sampled)
+            r = metrics.adjacency_correlation(img, direction)
         except metrics.TooFewPairsError:
             r = None
         lines.append(f"Corr. ({direction}): {'undefined' if r is None else f'{r:.6f}'}")
@@ -242,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", help="second image for NPCR/UACI")
     p.add_argument("--raw", metavar="WxH[xC]")
     p.add_argument("--glcm-offset", default="0,1", metavar="dr,dc")
-    p.add_argument("--sample-pairs", type=int, default=None,
-                   help="sampled correlation instead of the full pair population"
-                   " (1 to 2^26 pairs)")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled modes")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("attack-sim", help="corrupt ciphertext bytes and measure recovery")

@@ -1,9 +1,8 @@
 """Statistical and security analyses for images and keys.
 
-Correlation runs over the full adjacent-pair population by default for
-determinism; a seeded sampled mode exists for parity with tools that use
-random pairs.  GLCM features use a single configurable offset, (0, 1) by
-default.  Multi-channel images pool pairs/bytes across channel planes.
+Correlation runs exactly over the full adjacent-pair population.  GLCM
+features use a single configurable offset, (0, 1) by default.
+Multi-channel images pool pairs/bytes across channel planes.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .cipher import CipherKey, ImageBuffer, decrypt, encrypt
-from .lorenz import MAX_KEYSTREAM_LENGTH
 from .sbox_analysis import differential_probability, linear_probability
 
 _COUNT_CHUNK = 1 << 16  # elements per bincount call: a 512 KB intp buffer at most
@@ -61,27 +59,15 @@ def _sums(x: np.ndarray) -> tuple[int, int]:
     return int(x.sum(dtype=np.int64)), _dot(x, x)
 
 
-def adjacency_correlation(
-    img: ImageBuffer,
-    direction: str = "horizontal",
-    sample_pairs: int | None = None,
-    seed: int | None = None,
-) -> float | None:
+def adjacency_correlation(img: ImageBuffer, direction: str = "horizontal") -> float | None:
     """Pearson correlation of adjacent pixel pairs along one direction.
 
     Returns None (not 0) when either side of the pair population has zero
-    variance, e.g. for a constant image.  With sample_pairs set, that many
-    pairs (at most MAX_KEYSTREAM_LENGTH) are drawn with a seeded generator
-    instead of the full population.
+    variance, e.g. for a constant image.
     Raises TooFewPairsError when the image has no pair in that direction.
     """
     if direction not in ("horizontal", "vertical"):
         raise ValueError(f"direction must be horizontal or vertical, got {direction!r}")
-    if sample_pairs is not None and not 1 <= sample_pairs <= MAX_KEYSTREAM_LENGTH:
-        raise ValueError(
-            f"sample_pairs must be at least 1 and at most {MAX_KEYSTREAM_LENGTH},"
-            f" got {sample_pairs}"
-        )
     arr = img.to_array()  # (height, width) or (height, width, channels)
     if direction == "horizontal":
         if arr.shape[1] < 2:
@@ -92,19 +78,12 @@ def adjacency_correlation(
             raise TooFewPairsError("image too short for vertical pairs")
         a, b, first, last = arr[:-1], arr[1:], arr[0], arr[-1]
     # exact integer moments over uint8 views: no float copy of the population,
-    # and n * sum(a*a) - sum(a)**2 is exactly zero only for a constant side
-    if sample_pairs is not None:
-        if arr.ndim == 3:  # pool the planes one after another
-            a, b = np.moveaxis(a, 2, 0), np.moveaxis(b, 2, 0)
-        idx = np.random.default_rng(seed).integers(0, a.size, size=sample_pairs)
-        a, b = a.ravel()[idx], b.ravel()[idx]
-        (sa, saa), (sb, sbb) = _sums(a), _sums(b)
-    else:
-        # a is the whole image but its last column (or row), b all but its first
-        total, total_sq = _sums(arr)
-        (s_first, sq_first), (s_last, sq_last) = _sums(first), _sums(last)
-        sa, saa = total - s_last, total_sq - sq_last
-        sb, sbb = total - s_first, total_sq - sq_first
+    # and n * sum(a*a) - sum(a)**2 is exactly zero only for a constant side;
+    # a is the whole image but its last column (or row), b all but its first
+    total, total_sq = _sums(arr)
+    (s_first, sq_first), (s_last, sq_last) = _sums(first), _sums(last)
+    sa, saa = total - s_last, total_sq - sq_last
+    sb, sbb = total - s_first, total_sq - sq_first
     n = a.size
     sab = _dot(a, b)
     var_a = n * saa - sa * sa

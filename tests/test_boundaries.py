@@ -58,6 +58,57 @@ def test_detects_both_forms():
     ]
 
 
+_RANDOM_NAMES = {"random", "secrets", "default_rng"}
+
+
+def random_uses(source: str) -> list[str]:
+    """`line: name` for each import, name or attribute in a module source
+    that has random, secrets or default_rng as a dotted part, so numpy.random
+    counts too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if _RANDOM_NAMES & set(n.split("."))]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_draws_random_numbers(path):
+    # every output is a function of the key and the input alone
+    assert random_uses(path.read_text()) == []
+
+
+def test_detects_every_random_source():
+    source = (
+        "import random\n"
+        "import numpy.random as npr\n"
+        "from numpy.random import Generator\n"
+        "from secrets import token_bytes\n"
+        "import numpy as np\n"
+        "x = np.random.default_rng(1)\n"
+        "y = secrets.randbits(8)\n"
+        "z = np.arange(3)  # random in a comment is fine\n"
+    )
+    assert random_uses(source) == [
+        "1: random",
+        "2: numpy.random",
+        "3: numpy.random.Generator",
+        "4: secrets.token_bytes",
+        "6: default_rng",
+        "6: random",
+        "7: secrets",
+    ]
+
+
 @pytest.mark.parametrize("name", lftcipher.__all__)
 def test_every_export_resolves(name):
     assert getattr(lftcipher, name) is not None

@@ -352,28 +352,6 @@ class TestMetricsCommand:
         assert main(["metrics", "--in", str(path)]) == 0
         assert "undefined" in capsys.readouterr().out
 
-    def test_sampled_mode(self, small_image, capsys):
-        assert main(["metrics", "--in", small_image, "--sample-pairs", "100",
-                     "--seed", "1"]) == 0
-
-    @pytest.mark.parametrize("pairs", ["0", "-1"])
-    def test_sample_pairs_below_one(self, small_image, capsys, pairs):
-        assert main(["metrics", "--in", small_image, "--sample-pairs", pairs]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error:invalid-input:")
-        assert err.count("\n") == 1
-        assert "sample_pairs" in err
-
-    @pytest.mark.parametrize("pairs", [str(2**26 + 1), "10000000000000"])
-    def test_sample_pairs_above_the_keystream_bound(self, small_image, capsys, pairs):
-        assert main(["metrics", "--in", small_image, "--sample-pairs", pairs]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error:invalid-input:")
-        assert err.count("\n") == 1
-        assert "sample_pairs" in err
-
     @pytest.mark.parametrize("offset", ["1", "1,2,3", "a,b", "0,0", "9,9"])
     def test_bad_glcm_offset_prints_no_metrics(self, tmp_path, capsys, offset):
         path = tmp_path / "small.pgm"

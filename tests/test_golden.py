@@ -17,6 +17,7 @@ from lftcipher import sbox
 from lftcipher.cli import main
 from lftcipher.lorenz import keystream
 from lftcipher.metrics import cryptanalysis_report
+from lftcipher.netpbm import write_image
 from lftcipher.sbox_analysis import analyze
 
 # past 30003 entries, so the t = 10001 and t = 20001 disturbances fire
@@ -144,6 +145,24 @@ ENUMERATE_POLYS_DIGESTS = {
     12: "a9c076f6ac6311573daf4b2ce9cbcbe3bebe5ed828311790fb29f50e4f1629b4",
 }
 
+# sha256 of exit code, stdout and stderr of each `metrics` call in
+# METRICS_CALLS, in order
+METRICS_DIGEST = "bba5b655d35310ff6a92958e2885cf57bc896fa90e85c4f797a72e05c84beca7"
+# arguments after `metrics`; the files are written by test_metrics_text
+METRICS_CALLS = (
+    ("--in", "gray.pgm"),
+    ("--in", "rgb.ppm"),
+    ("--in", "gray.pgm", "--glcm-offset", "1,1"),
+    ("--in", "rgb.ppm", "--glcm-offset", "1,1"),
+    ("--in", "gray.pgm", "--against", "gray-b.pgm"),
+    ("--in", "rgb.ppm", "--against", "rgb-b.ppm"),
+    ("--in", "rgb.raw", "--raw", "48x32x3", "--against", "rgb-b.raw"),
+    ("--in", "column.pgm"),  # GLCM refusal
+    ("--in", "column.pgm", "--glcm-offset", "1,0"),  # horizontal undefined
+    ("--in", "row.pgm"),  # vertical undefined
+    ("--in", "row.pgm", "--glcm-offset", "1,0"),  # GLCM refusal
+)
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -192,6 +211,31 @@ def test_ciphertexts(rk4_path):
     )
     assert sha256(encrypt(gray, key).data) == GRAY_CIPHERTEXT_DIGEST
     assert sha256(encrypt(rgb, key).data) == RGB_CIPHERTEXT_DIGEST
+
+
+def test_metrics_text(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    gray = make_natural_image(7, width=48, height=32)
+    rgb = [
+        ImageBuffer.from_array(
+            np.stack([make_natural_image(s, width=48, height=32).to_array() for s in seeds], axis=2)
+        )
+        for seeds in ((7, 8, 9), (10, 11, 12))
+    ]
+    write_image(gray, "gray.pgm")
+    write_image(make_natural_image(8, width=48, height=32), "gray-b.pgm")
+    write_image(rgb[0], "rgb.ppm")
+    write_image(rgb[1], "rgb-b.ppm")
+    write_image(ImageBuffer.from_array(gray.to_array()[:, 20:21].copy()), "column.pgm")
+    write_image(ImageBuffer.from_array(gray.to_array()[10:11].copy()), "row.pgm")
+    (tmp_path / "rgb.raw").write_bytes(rgb[0].data)
+    (tmp_path / "rgb-b.raw").write_bytes(rgb[1].data)
+    record = []
+    for call in METRICS_CALLS:
+        code = main(["metrics", *call])
+        out, err = capsys.readouterr()
+        record.append(f"{code}\n{out}\n{err}")
+    assert sha256("\0".join(record).encode()) == METRICS_DIGEST
 
 
 def analysis_boxes(name):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import make_natural_image
 from lftcipher import ImageBuffer
-from lftcipher.lorenz import MAX_KEYSTREAM_LENGTH
 from lftcipher.metrics import (
     _COUNT_CHUNK,
     AvalancheReport,
@@ -29,7 +28,7 @@ def planes(img: ImageBuffer) -> list[np.ndarray]:
     return [arr] if img.channels == 1 else [arr[:, :, ch] for ch in range(img.channels)]
 
 
-def five_sum_correlation(img, direction, sample_pairs=None, seed=None):
+def five_sum_correlation(img, direction):
     """Reference: pair views per plane, five separate sums per plane."""
     if direction == "horizontal":
         if img.width < 2:
@@ -39,11 +38,6 @@ def five_sum_correlation(img, direction, sample_pairs=None, seed=None):
         if img.height < 2:
             raise TooFewPairsError("image too short for vertical pairs")
         pairs = [(p[:-1, :], p[1:, :]) for p in planes(img)]
-    if sample_pairs is not None:
-        a = np.concatenate([a.ravel() for a, _ in pairs])
-        b = np.concatenate([b.ravel() for _, b in pairs])
-        idx = np.random.default_rng(seed).integers(0, a.size, size=sample_pairs)
-        pairs = [(a[idx], b[idx])]
     n = sa = sb = saa = sbb = sab = 0
     for a, b in pairs:
         a, b = a.astype(np.int64), b.astype(np.int64)
@@ -92,16 +86,15 @@ def images(draw):
     return ImageBuffer(width, height, channels, bytes(v * (255 // max(levels - 1, 1)) for v in data))
 
 
-@given(images(), st.sampled_from(["horizontal", "vertical"]),
-       st.one_of(st.none(), st.integers(1, 50)), st.integers(0, 9))
-def test_correlation_equals_five_sum_reference(img, direction, sample_pairs, seed):
+@given(images(), st.sampled_from(["horizontal", "vertical"]))
+def test_correlation_equals_five_sum_reference(img, direction):
     try:
-        expected = five_sum_correlation(img, direction, sample_pairs, seed)
+        expected = five_sum_correlation(img, direction)
     except TooFewPairsError as exc:
         with pytest.raises(TooFewPairsError, match=str(exc)):
-            adjacency_correlation(img, direction, sample_pairs, seed)
+            adjacency_correlation(img, direction)
         return
-    assert adjacency_correlation(img, direction, sample_pairs, seed) == expected
+    assert adjacency_correlation(img, direction) == expected
 
 
 @given(images(), st.sampled_from([(0, 1), (1, 0), (1, 1), (-1, 2)]))
@@ -157,25 +150,6 @@ class TestAdjacencyCorrelation:
             adjacency_correlation(img, "horizontal")
         with pytest.raises(TooFewPairsError):
             adjacency_correlation(ImageBuffer(3, 1, 1, bytes(3)), "vertical")
-
-    @pytest.mark.parametrize("pairs", [0, -1])
-    def test_sample_pairs_below_one_rejected(self, natural_image, pairs):
-        with pytest.raises(ValueError, match="sample_pairs must be at least 1") as exc:
-            adjacency_correlation(natural_image, "horizontal", sample_pairs=pairs, seed=1)
-        assert not isinstance(exc.value, TooFewPairsError)
-
-    @pytest.mark.parametrize("pairs", [MAX_KEYSTREAM_LENGTH + 1, 10**13])
-    def test_sample_pairs_above_the_keystream_bound_rejected(self, natural_image, pairs):
-        # refused before the generator draws: 10**13 indices would be 72.8 TiB
-        with pytest.raises(ValueError, match="sample_pairs must be .* at most 67108864"):
-            adjacency_correlation(natural_image, "horizontal", sample_pairs=pairs, seed=1)
-
-    def test_sampled_mode_is_seeded(self, natural_image):
-        a = adjacency_correlation(natural_image, "horizontal", sample_pairs=1000, seed=5)
-        b = adjacency_correlation(natural_image, "horizontal", sample_pairs=1000, seed=5)
-        c = adjacency_correlation(natural_image, "horizontal", sample_pairs=1000, seed=6)
-        assert a == b
-        assert a != c
 
 
 class TestEntropy:
